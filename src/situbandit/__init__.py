@@ -4,12 +4,12 @@ replay simulation harness."""
 from .bandit import (BanditConfig, Branch, EpsilonTunerState,
                      GlobalEpsilonGreedy, Recommendation,
                      RecommendationEngine, TrialRecord, epsilon_greedy,
-                     get_ctr, greedy_top_n, tune_epsilon)
+                     get_ctr, greedy_top_n, random_slate, step,
+                     tune_epsilon)
 from .casebase import (Case, CaseBase, DocumentStats, RetrievalResult,
                        UserPreferences)
 from .clustering import (ClusteringConfig, ClusteringResult,
-                         cluster_situations, kmedoids, recompute_medoid,
-                         should_recluster)
+                         cluster_situations, kmedoids, should_recluster)
 from .ontology import (Concept, Dimension, Taxonomy, depth, lcs,
                        load_taxonomy, taxonomy_from_dict, taxonomy_to_dict,
                        wu_palmer)
@@ -19,7 +19,7 @@ from .simdata import (EvalReport, OraclePolicy, RandomPolicy, SyntheticWorld,
                       replay_evaluate, save_world)
 from .simindex import SituationIndex
 from .situation import (DimensionWeights, Situation, Taxonomies,
-                        record_gamma_and_update, sim_per_dimension,
-                        unweighted_similarity, weighted_similarity)
+                        sim_per_dimension, unweighted_similarity,
+                        weighted_similarity)
 
 __version__ = "0.1.0"

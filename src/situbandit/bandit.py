@@ -65,6 +65,18 @@ class Recommendation:
     retrieval: Optional[RetrievalResult]
 
 
+#: Feedback for a shown slate: (preferences to absorb, clicks per slate doc).
+FeedbackSource = Callable[[Situation, List[str]],
+                          Tuple[UserPreferences, Dict[str, int]]]
+
+
+def random_slate(pool: Sequence[str], n: int,
+                 rng: np.random.Generator) -> List[str]:
+    """Up to n distinct documents drawn uniformly from `pool`."""
+    picks = rng.choice(len(pool), size=min(n, len(pool)), replace=False)
+    return [pool[i] for i in picks]
+
+
 def get_ctr(ds: DocumentStats) -> float:
     """Empirical click-through rate; zero-impression documents score 0."""
     if ds.impressions <= 0:
@@ -108,8 +120,8 @@ class RecommendationEngine:
     """Situation-aware engine: case retrieval + epsilon-greedy selection +
     periodic situation clustering.
 
-    With clustering disabled the engine retrieves by exhaustive scan and
-    never re-partitions the case base.
+    With clustering disabled the engine never partitions the case base, so
+    retrieval scans every case.
     """
 
     def __init__(self, taxonomies: Taxonomies, doc_pool: Sequence[str],
@@ -124,15 +136,10 @@ class RecommendationEngine:
                                else ClusteringConfig())
         self.clustering_enabled = clustering_enabled
         self.casebase = CaseBase(taxonomies, weights=weights, hlcs=hlcs,
-                                 index=index, routing=clustering_enabled)
+                                 index=index)
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
         self.tt = 0
-
-    def _random_slate(self) -> List[str]:
-        n = min(self.config.slate_size, len(self.doc_pool))
-        picks = self.rng.choice(len(self.doc_pool), size=n, replace=False)
-        return [self.doc_pool[i] for i in picks]
 
     def recommend(self, situation: Situation) -> Recommendation:
         cb = self.casebase
@@ -142,8 +149,10 @@ class RecommendationEngine:
                    and retrieval.case.prefs)
         if not gate_ok:
             if self.config.cold_start_fallback:
-                return Recommendation(self._random_slate(), Branch.COLD_START,
-                                      retrieval)
+                return Recommendation(
+                    random_slate(self.doc_pool, self.config.slate_size,
+                                 self.rng),
+                    Branch.COLD_START, retrieval)
             return Recommendation([], Branch.NO_RECOMMEND, retrieval)
         if cb.is_hlcs(retrieval.case.situation):
             slate = greedy_top_n(retrieval.case.prefs, self.config.slate_size)
@@ -168,15 +177,6 @@ class RecommendationEngine:
                 cb, replace(self.clustering_cfg,
                             seed=self.clustering_cfg.seed + self.tt))
 
-    def step(self, situation: Situation,
-             feedback_source: Callable[[Situation, List[str]],
-                                       Tuple[UserPreferences, Dict[str, int]]]
-             ) -> TrialRecord:
-        rec = self.recommend(situation)
-        feedback, slate_clicks = feedback_source(situation, rec.slate)
-        self.observe(situation, rec, feedback)
-        return TrialRecord(situation, rec.slate, slate_clicks, rec.branch)
-
 
 class GlobalEpsilonGreedy:
     """Context-free baseline: one global preference pool, no situations."""
@@ -190,10 +190,9 @@ class GlobalEpsilonGreedy:
 
     def recommend(self, situation: Situation) -> Recommendation:
         if not self.prefs:
-            n = min(self.config.slate_size, len(self.doc_pool))
-            picks = self.rng.choice(len(self.doc_pool), size=n, replace=False)
-            return Recommendation([self.doc_pool[i] for i in picks],
-                                  Branch.COLD_START, None)
+            return Recommendation(
+                random_slate(self.doc_pool, self.config.slate_size, self.rng),
+                Branch.COLD_START, None)
         slate = epsilon_greedy(self.prefs, self.config.slate_size,
                                self.config.epsilon, self.rng)
         return Recommendation(slate, Branch.EPS_GREEDY, None)
@@ -201,6 +200,16 @@ class GlobalEpsilonGreedy:
     def observe(self, situation: Situation, rec: Recommendation,
                 feedback: UserPreferences) -> None:
         self.prefs.merge(feedback)
+
+
+def step(policy, situation: Situation,
+         feedback_source: FeedbackSource) -> TrialRecord:
+    """One trial: ask `policy` for a slate, collect its feedback and let
+    the policy absorb it."""
+    rec = policy.recommend(situation)
+    feedback, slate_clicks = feedback_source(situation, rec.slate)
+    policy.observe(situation, rec, feedback)
+    return TrialRecord(situation, rec.slate, slate_clicks, rec.branch)
 
 
 @dataclass

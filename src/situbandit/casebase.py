@@ -1,10 +1,11 @@
 """Case memory: (situation, preferences) pairs with cluster-routed retrieval.
 
 Retrieval first picks the cluster whose medoid is most similar to the query
-(weighted similarity), then the best case inside that cluster. Preference
-maintenance merges feedback into an exactly-matching case or inserts a new
-case otherwise; new cases join the nearest medoid's cluster until the next
-re-clustering pass.
+(weighted similarity), then the best case inside that cluster; while the
+case base holds a single cluster (it was never partitioned) that is an
+exhaustive scan. Preference maintenance merges feedback into an
+exactly-matching case or inserts a new case otherwise; new cases join the
+nearest medoid's cluster until the next re-clustering pass.
 """
 
 from __future__ import annotations
@@ -88,16 +89,13 @@ class RetrievalResult:
 class CaseBase:
     """All cases plus cluster assignments, medoids, HLCS set and weights.
 
-    Single-writer mutable state owned by one engine instance. When
-    `routing` is False retrieval scans all cases exhaustively (the
-    no-clustering engine variant).
+    Single-writer mutable state owned by one engine instance.
     """
 
     def __init__(self, taxonomies: Taxonomies,
                  weights: Optional[DimensionWeights] = None,
                  hlcs: Iterable[Situation] = (),
-                 index: Optional[SituationIndex] = None,
-                 routing: bool = True):
+                 index: Optional[SituationIndex] = None):
         self.taxonomies = taxonomies
         self.index = index if index is not None else SituationIndex(taxonomies)
         self.weights = weights if weights is not None else DimensionWeights()
@@ -106,7 +104,6 @@ class CaseBase:
         self.cluster_of: List[int] = []
         self.medoids: List[int] = []  # cluster id -> case index
         self.hlcs: set = set(hlcs)
-        self.routing = routing
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -124,7 +121,7 @@ class CaseBase:
         q = self.index.encode(current)
         alpha = self.weights.alpha
         enc = self.encoded
-        if self.routing and len(self.medoids) > 1:
+        if len(self.medoids) > 1:
             med = np.asarray(self.medoids)
             med_sims = self.index.weighted_to_many(
                 q, enc.loc[med], enc.tim[med], enc.soc[med], alpha)
@@ -206,10 +203,7 @@ class CaseBase:
             "cluster_of": list(self.cluster_of),
             "medoids": list(self.medoids),
             "hlcs": sorted(list(s.as_tuple()) for s in self.hlcs),
-            "weights": {
-                "alpha": list(self.weights.alpha),
-                "gamma_history": [list(h) for h in self.weights.gamma_history],
-            },
+            "weights": self.weights.to_snapshot(),
         }
 
     def save(self, path: Union[str, Path]) -> None:
@@ -218,14 +212,10 @@ class CaseBase:
 
     @classmethod
     def from_snapshot(cls, doc: dict, taxonomies: Taxonomies,
-                      index: Optional[SituationIndex] = None,
-                      routing: bool = True) -> "CaseBase":
-        weights = DimensionWeights(
-            gamma_history=tuple(list(h) for h in doc["weights"]["gamma_history"]))
-        if any(weights.gamma_history):
-            weights.alpha = tuple(
-                sum(h) / len(h) for h in weights.gamma_history)
-        cb = cls(taxonomies, weights=weights, index=index, routing=routing)
+                      index: Optional[SituationIndex] = None) -> "CaseBase":
+        cb = cls(taxonomies,
+                 weights=DimensionWeights.from_snapshot(doc["weights"]),
+                 index=index)
         for entry in doc["cases"]:
             prefs = UserPreferences({
                 d["doc_id"]: DocumentStats(d["doc_id"], d["clicks"],

@@ -7,7 +7,6 @@ delimited text. CLI flags override config-file values.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import List, Optional
 
@@ -15,7 +14,7 @@ import click
 import numpy as np
 import yaml
 
-from .bandit import BanditConfig, EpsilonTunerState, tune_epsilon
+from .bandit import BanditConfig, EpsilonTunerState, step, tune_epsilon
 from .clustering import ClusteringConfig, kmedoids
 from .errors import ConfigError, SitubanditError
 from .simdata import (POLICY_NAMES, WorldConfig, build_policy,
@@ -169,31 +168,25 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
         cfg = _load_config(config_path)
         values = _parse_grid(grid, cfg, "grid")
         seeds = _seeds(cfg, seeds_flag)
+        # the --param names are the config keys; build (and so validate)
+        # every run's configs before the first replay
+        runs = []
+        for value in values:
+            override = {**cfg, param: (int(value) if param in ("t_max", "ct")
+                                       else value)}
+            runs.extend((value, s, _bandit_config(override, s),
+                         _clustering_config(override, s)) for s in seeds)
         world = load_world(world_path)
         lines = ["param\tvalue\tseed\tfinal_avctr"]
-        for value in values:
-            for s in seeds:
-                bandit_cfg = _bandit_config(cfg, s)
-                cluster_cfg = _clustering_config(cfg, s)
-                if param == "epsilon":
-                    bandit_cfg = dataclasses.replace(bandit_cfg, epsilon=value)
-                elif param == "threshold_b":
-                    bandit_cfg = dataclasses.replace(bandit_cfg,
-                                                     threshold_b=value)
-                elif param == "t_max":
-                    cluster_cfg = dataclasses.replace(
-                        cluster_cfg, max_iterations=int(value))
-                else:
-                    cluster_cfg = dataclasses.replace(
-                        cluster_cfg, recluster_period=int(value))
-                pol = build_policy(policy, world, bandit_cfg, cluster_cfg)
-                report = replay_evaluate(
-                    pol, world,
-                    iterations=cfg.get("iterations", 10000),
-                    report_period=cfg.get("report_period", 1000),
-                    seed=s + 10 ** 6, keep_trials=False)
-                lines.append(f"{param}\t{value:g}\t{s}\t"
-                             f"{report.final_avctr:.6f}")
+        for value, s, bandit_cfg, cluster_cfg in runs:
+            pol = build_policy(policy, world, bandit_cfg, cluster_cfg)
+            report = replay_evaluate(
+                pol, world,
+                iterations=cfg.get("iterations", 10000),
+                report_period=cfg.get("report_period", 1000),
+                seed=s + 10 ** 6, keep_trials=False)
+            lines.append(f"{param}\t{value:g}\t{s}\t"
+                         f"{report.final_avctr:.6f}")
         Path(out_path).write_text("\n".join(lines) + "\n")
         click.echo(f"{len(values) * len(seeds)} runs -> {out_path}")
     _run(go)
@@ -210,9 +203,11 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
     def go():
         cfg = _load_config(config_path)
         base = seed if seed is not None else cfg.get("seed", 0)
-        world = load_world(world_path)
         candidates = [float(e) for e in cfg.get("h_epsilon",
                                                 DEFAULT_H_EPSILON)]
+        configs = {e: _bandit_config({**cfg, "epsilon": e}, base)
+                   for e in candidates}
+        world = load_world(world_path)
         rounds = int(cfg.get("rounds", 200))
         episode_length = int(cfg.get("episode_length", 50))
         engine = build_policy("clustering-eps-greedy", world,
@@ -223,15 +218,11 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
         n_situations = len(world.situations)
 
         def run_episode(epsilon: float) -> float:
-            engine.config = dataclasses.replace(engine.config,
-                                                epsilon=epsilon)
+            engine.config = configs[epsilon]
             clicks = 0
             for _ in range(episode_length):
                 s = world.situations[int(rng.integers(n_situations))]
-                rec = engine.recommend(s)
-                feedback, slate_clicks = source(s, rec.slate)
-                engine.observe(s, rec, feedback)
-                clicks += sum(slate_clicks.values())
+                clicks += sum(step(engine, s, source).clicks.values())
             return clicks
 
         state = EpsilonTunerState(candidates)
@@ -275,10 +266,8 @@ def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
             sim = world.index.pairwise_weighted(
                 enc[0], enc[1], enc[2], (1.0, 1.0, 1.0))
             for t_max in values:
-                ccfg = ClusteringConfig(
-                    num_clusters=cfg.get("nc", 10), max_iterations=t_max,
-                    seed=s, refine=cfg.get("refine", True))
-                result = kmedoids(sim, ccfg)
+                result = kmedoids(
+                    sim, _clustering_config({**cfg, "t_max": t_max}, s))
                 prec = clustering_precision(result.labels, world.group_of)
                 lines.append(f"{t_max}\t{s}\t{prec:.6f}")
         Path(out_path).write_text("\n".join(lines) + "\n")

@@ -10,13 +10,14 @@ a purely random initialization tends to land in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from .errors import EmptyCluster, TooFewCases
-from .simindex import SituationIndex
-from .situation import DimensionWeights, Situation, Taxonomies, weighted_similarity
+from .errors import TooFewCases
+
+#: Upper bound on greedy medoid-swap passes after the alternating loop.
+MAX_SWAP_PASSES = 4
 
 
 @dataclass
@@ -26,7 +27,6 @@ class ClusteringConfig:
     recluster_period: int = 40
     seed: int = 0
     refine: bool = True
-    max_swap_passes: int = 4
 
     def __post_init__(self):
         if self.num_clusters < 1 or self.max_iterations < 1 \
@@ -45,20 +45,6 @@ class ClusteringResult:
 def should_recluster(tt: int, ct: int) -> bool:
     """Periodic trigger: re-cluster every ct engine iterations."""
     return tt > 0 and tt % ct == 0
-
-
-def recompute_medoid(members: Sequence[Situation], w: DimensionWeights,
-                     taxonomies: Taxonomies) -> int:
-    """Index of the member maximizing mean similarity to its co-members."""
-    if not members:
-        raise EmptyCluster("cannot pick a medoid from an empty cluster")
-    best, best_score = 0, -1.0
-    for i, cand in enumerate(members):
-        score = sum(weighted_similarity(cand, m, w, taxonomies)
-                    for m in members) / len(members)
-        if score > best_score + 1e-12:
-            best, best_score = i, score
-    return best
 
 
 def _assign(sim: np.ndarray, medoids: np.ndarray) -> np.ndarray:
@@ -139,7 +125,7 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
                 and np.array_equal(new_labels, labels):
             break
         medoids, labels = new_medoids, new_labels
-    if cfg.refine and _swap_refine(sim, medoids, cfg.max_swap_passes):
+    if cfg.refine and _swap_refine(sim, medoids, MAX_SWAP_PASSES):
         labels = _assign(sim, medoids)
         _repair_empty(sim, medoids, labels)
         trace.append(_objective(sim, medoids, labels))
@@ -152,18 +138,11 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
                             objective_trace=trace)
 
 
-def situation_similarity_matrix(index: SituationIndex, loc: np.ndarray,
-                                tim: np.ndarray, soc: np.ndarray,
-                                alpha: Sequence[float]) -> np.ndarray:
-    return index.pairwise_weighted(loc, tim, soc, alpha)
-
-
 def cluster_situations(cb, cfg: ClusteringConfig):
     """Re-cluster a case base in place; returns it with fresh assignments."""
     enc = cb.encoded
-    sim = situation_similarity_matrix(cb.index, enc.loc, enc.tim, enc.soc,
-                                      cb.weights.alpha)
+    sim = cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
+                                     cb.weights.alpha)
     result = kmedoids(sim, cfg)
     cb.set_partition([int(l) for l in result.labels], result.medoids)
-    cb.last_clustering = result
     return cb

@@ -25,10 +25,6 @@ class TooFewCases(SitubanditError):
     """Fewer cases than requested clusters."""
 
 
-class EmptyCluster(SitubanditError):
-    """Medoid recomputation asked for an empty member list."""
-
-
 class EmptyCandidates(SitubanditError):
     """Epsilon-greedy called with no candidate documents."""
 

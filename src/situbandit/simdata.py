@@ -17,11 +17,12 @@ import dataclasses
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bandit import Branch, Recommendation, TrialRecord
+from .bandit import (Branch, FeedbackSource, Recommendation, TrialRecord,
+                     random_slate, step)
 from .casebase import DocumentStats, UserPreferences
 from .errors import (ConfigError, ExhaustedPool, LabelMismatch, UnknownDoc,
                      UnknownPolicy)
@@ -119,9 +120,7 @@ class SyntheticWorld:
                      rng: np.random.Generator) -> int:
         return int(rng.random() < self.affinity_of(s, doc_id))
 
-    def feedback_source(self, rng: np.random.Generator
-                        ) -> Callable[[Situation, List[str]],
-                                      Tuple[UserPreferences, Dict[str, int]]]:
+    def feedback_source(self, rng: np.random.Generator) -> FeedbackSource:
         """Click feedback for a slate plus organic (non-recommended) visits.
 
         Slate documents get one impression each and a Bernoulli click from
@@ -329,15 +328,12 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
     branch_counts: Dict[str, int] = {b.value: 0 for b in Branch}
     trials: List[TrialRecord] = []
     for i in range(iterations):
-        s = world.situations[flat[i]]
-        rec = policy.recommend(s)
-        feedback, slate_clicks = source(s, rec.slate)
-        policy.observe(s, rec, feedback)
-        clicks += sum(slate_clicks.values())
-        displays += len(rec.slate)
-        branch_counts[rec.branch.value] += 1
+        trial = step(policy, world.situations[flat[i]], source)
+        clicks += sum(trial.clicks.values())
+        displays += len(trial.shown)
+        branch_counts[trial.branch.value] += 1
         if keep_trials:
-            trials.append(TrialRecord(s, rec.slate, slate_clicks, rec.branch))
+            trials.append(trial)
         if (i + 1) % report_period == 0:
             series.append((i + 1, clicks / displays if displays else 0.0,
                            dict(branch_counts)))
@@ -360,10 +356,9 @@ class RandomPolicy:
         self.rng = np.random.default_rng(seed)
 
     def recommend(self, situation: Situation) -> Recommendation:
-        n = min(self.slate_size, len(self.doc_ids))
-        picks = self.rng.choice(len(self.doc_ids), size=n, replace=False)
-        return Recommendation([self.doc_ids[i] for i in picks],
-                              Branch.COLD_START, None)
+        return Recommendation(
+            random_slate(self.doc_ids, self.slate_size, self.rng),
+            Branch.COLD_START, None)
 
     def observe(self, situation, rec, feedback) -> None:
         pass

@@ -84,10 +84,6 @@ class SituationIndex:
                 + alpha[1] * m1[np.ix_(tim, tim)]
                 + alpha[2] * m2[np.ix_(soc, soc)])
 
-    def unweighted_to_many(self, query: Sequence[int], loc: np.ndarray,
-                           tim: np.ndarray, soc: np.ndarray) -> np.ndarray:
-        return self.weighted_to_many(query, loc, tim, soc, (1.0, 1.0, 1.0))
-
 
 class EncodedSituations:
     """Growable parallel int arrays of encoded situations."""

@@ -3,13 +3,15 @@
 A situation is a (location, time, social) triple of concept ids, one per
 taxonomy. Retrieval scores situations with a weighted sum of per-dimension
 Wu-Palmer similarities; the threshold and exact-match tests use the plain
-unweighted sum (which is 3.0 exactly when the triples are equal).
+unweighted sum (which is 3.0 exactly when the triples are equal). The
+weights are the running mean of the per-dimension similarities of past
+retrievals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from .errors import ConfigError
 from .ontology import DIMENSIONS, Taxonomy, wu_palmer
@@ -65,23 +67,33 @@ class DimensionWeights:
     """Per-dimension weights alpha, maintained as the running arithmetic
     mean of past per-dimension similarity observations (gamma).
 
-    Before any observation alpha is uniform 1/3. An optional window limits
-    the mean to the most recent observations (default: unbounded).
+    Only the per-dimension sums of gamma and the observation count are
+    kept, so the state stays constant in size. Before any observation alpha
+    is uniform 1/3.
     """
 
-    alpha: Tuple[float, float, float] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
-    gamma_history: Tuple[list, list, list] = field(
-        default_factory=lambda: ([], [], []))
-    window: Optional[int] = None
+    sums: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+    count: int = 0
+
+    @property
+    def alpha(self) -> Tuple[float, float, float]:
+        if not self.count:
+            return (1.0 / 3, 1.0 / 3, 1.0 / 3)
+        return tuple(s / self.count for s in self.sums)
 
     def record(self, per_dim_sims: Sequence[float]) -> "DimensionWeights":
-        """Append one gamma observation per dimension and refresh alpha."""
-        for hist, sim in zip(self.gamma_history, per_dim_sims):
-            hist.append(float(sim))
-            if self.window is not None and len(hist) > self.window:
-                del hist[0]
-        self.alpha = tuple(sum(h) / len(h) for h in self.gamma_history)
+        """Add one gamma observation per dimension."""
+        self.sums = tuple(s + float(sim)
+                          for s, sim in zip(self.sums, per_dim_sims))
+        self.count += 1
         return self
+
+    def to_snapshot(self) -> dict:
+        return {"sums": list(self.sums), "count": self.count}
+
+    @classmethod
+    def from_snapshot(cls, doc: dict) -> "DimensionWeights":
+        return cls(sums=tuple(doc["sums"]), count=doc["count"])
 
 
 def weighted_similarity(s1: Situation, s2: Situation, w: DimensionWeights,
@@ -101,7 +113,3 @@ def is_exact_match(sim: float) -> bool:
     """Whether an unweighted similarity counts as sim == 3."""
     return sim >= 3.0 - EXACT_MATCH_TOL
 
-
-def record_gamma_and_update(w: DimensionWeights,
-                            per_dim_sims: Sequence[float]) -> DimensionWeights:
-    return w.record(per_dim_sims)

@@ -5,7 +5,7 @@ import pytest
 
 from situbandit.bandit import (BanditConfig, Branch, EpsilonTunerState,
                                GlobalEpsilonGreedy, RecommendationEngine,
-                               epsilon_greedy, get_ctr, greedy_top_n,
+                               epsilon_greedy, get_ctr, greedy_top_n, step,
                                tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.clustering import ClusteringConfig
@@ -115,7 +115,7 @@ def test_engine_no_recommend_variant(tiny_taxonomies, base_situation):
 
 def test_engine_threshold_gate(tiny_taxonomies, base_situation):
     eng = make_engine(tiny_taxonomies)
-    eng.step(base_situation, feedback_all_clicked)
+    step(eng, base_situation, feedback_all_clicked)
     # far-corner query: sim well below B = 2.4 -> cold start
     far = Situation("Lb2", "Tb2", "Sb2")
     assert eng.recommend(far).branch == Branch.COLD_START
@@ -134,7 +134,7 @@ def test_engine_gate_requires_nonempty_prefs(tiny_taxonomies, base_situation):
 def test_engine_hlcs_branch_is_greedy_and_spreads(tiny_taxonomies):
     crisis = Situation("La1", "Ta1", "Sa1")
     eng = make_engine(tiny_taxonomies, hlcs=[crisis])
-    eng.step(crisis, feedback_all_clicked)
+    step(eng, crisis, feedback_all_clicked)
     rec = eng.recommend(crisis)
     assert rec.branch == Branch.HLCS_GREEDY
     assert rec.slate == greedy_top_n(eng.casebase.cases[0].prefs, 10)
@@ -146,11 +146,11 @@ def test_engine_hlcs_branch_is_greedy_and_spreads(tiny_taxonomies):
 
 def test_engine_counts_and_weights_update(tiny_taxonomies, base_situation):
     eng = make_engine(tiny_taxonomies)
-    eng.step(base_situation, feedback_all_clicked)
+    step(eng, base_situation, feedback_all_clicked)
     assert eng.tt == 1
     # first trial retrieves nothing, so no gamma observation yet
-    assert eng.casebase.weights.gamma_history[0] == []
-    eng.step(base_situation, feedback_all_clicked)
+    assert eng.casebase.weights.count == 0
+    step(eng, base_situation, feedback_all_clicked)
     assert eng.tt == 2
     assert eng.casebase.weights.alpha == pytest.approx((1.0, 1.0, 1.0))
 
@@ -164,10 +164,10 @@ def test_engine_reclusters_on_schedule(tiny_taxonomies):
                       f"S{c}{rng.integers(1, 3)}")
             for c in "ab" for _ in range(6)]
     for s in sits[:4]:
-        eng.step(s, feedback_all_clicked)
+        step(eng, s, feedback_all_clicked)
     assert eng.casebase.num_clusters == 1  # not yet triggered
     for s in sits[4:]:
-        eng.step(s, feedback_all_clicked)
+        step(eng, s, feedback_all_clicked)
     assert eng.tt == 12
     assert eng.casebase.num_clusters == 2
 
@@ -180,9 +180,9 @@ def test_engine_no_clustering_variant(tiny_taxonomies):
     rng = np.random.default_rng(4)
     for _ in range(8):
         s = Situation(f"La{rng.integers(1, 3)}", "Ta1", "Sa1")
-        eng.step(s, feedback_all_clicked)
+        step(eng, s, feedback_all_clicked)
     assert eng.casebase.num_clusters == 1
-    assert not eng.casebase.routing
+    assert eng.casebase.medoids == [0]  # never partitioned: full scan
 
 
 def test_engine_deterministic_given_seed(tiny_taxonomies):
@@ -193,7 +193,7 @@ def test_engine_deterministic_given_seed(tiny_taxonomies):
         for _ in range(30):
             s = Situation(f"La{rng.integers(1, 3)}",
                           f"Ta{rng.integers(1, 3)}", "Sa1")
-            slates.append(eng.step(s, feedback_all_clicked).shown)
+            slates.append(step(eng, s, feedback_all_clicked).shown)
         return slates
 
     assert run() == run()

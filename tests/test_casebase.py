@@ -105,7 +105,7 @@ def test_insert_joins_nearest_medoid_cluster(routed_cb):
 
 
 def test_tie_breaks_to_lowest_case_index(tiny_taxonomies):
-    cb = CaseBase(tiny_taxonomies, routing=False)
+    cb = CaseBase(tiny_taxonomies)
     s = Situation("La1", "Ta1", "Sa1")
     cb.cases = [Case(s, prefs(d1=1)), Case(s, prefs(d2=1))]
     cb.encoded.append(cb.index.encode(s))
@@ -124,9 +124,9 @@ def test_retrieval_is_deterministic(routed_cb):
 
 def test_routing_agrees_with_exhaustive_when_separable(tiny_taxonomies):
     # corner-shaped clusters: route and exhaustive scan must agree on
-    # the vast majority of queries
-    routed = CaseBase(tiny_taxonomies, routing=True)
-    flat = CaseBase(tiny_taxonomies, routing=False)
+    # the vast majority of queries; a never-partitioned base scans all cases
+    routed = CaseBase(tiny_taxonomies)
+    flat = CaseBase(tiny_taxonomies)
     rng = np.random.default_rng(5)
     corners = {"a": ("La", "Ta", "Sa"), "b": ("Lb", "Tb", "Sb")}
     sits = []
@@ -179,7 +179,7 @@ def test_snapshot_roundtrip(routed_cb, tmp_path, tiny_taxonomies):
     assert back.cluster_of == routed_cb.cluster_of
     assert back.medoids == routed_cb.medoids
     assert back.hlcs == routed_cb.hlcs
-    assert back.weights.alpha == pytest.approx(routed_cb.weights.alpha)
+    assert back.weights.alpha == routed_cb.weights.alpha
     for mine, theirs in zip(routed_cb.cases, back.cases):
         assert mine.situation == theirs.situation
         assert {d: s.clicks for d, s in mine.prefs.docs.items()} == \

@@ -160,3 +160,27 @@ def test_missing_world_file(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--world",
                                str(tmp_path / "none.json")])
     assert res.exit_code != 0
+
+
+def test_out_of_range_values_are_clean_errors(runner, tmp_path):
+    world_path, cfg = gen_world(runner, tmp_path)
+    tune_cfg = tmp_path / "tune.yaml"
+    write_config(tune_cfg, dict(FAST_RUN, h_epsilon=[0.5, 1.5]))
+    eval_cfg = tmp_path / "ce.yaml"
+    write_config(eval_cfg, {"sample_world": dict(TINY_WORLD), "nc": 3})
+    world = ["--world", str(world_path)]
+    cases = [
+        ["sweep", "--config", str(cfg), *world, "--param", "epsilon",
+         "--grid", "1.5"],
+        ["sweep", "--config", str(cfg), *world, "--param", "ct",
+         "--grid", "0"],
+        ["tune-epsilon", "--config", str(tune_cfg), *world],
+        ["cluster-eval", "--config", str(eval_cfg), "--grid", "0"],
+    ]
+    for args in cases:
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o.tsv")])
+        assert res.exit_code == 1, (args, res.output)
+        assert "Error:" in res.output, args
+        # a clean click error, not an uncaught exception and its traceback
+        assert isinstance(res.exception, SystemExit), (args, res.exception)
+        assert not (tmp_path / "o.tsv").exists()

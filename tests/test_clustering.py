@@ -5,11 +5,9 @@ import pytest
 
 from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
 from situbandit.clustering import (ClusteringConfig, cluster_situations,
-                                   kmedoids, recompute_medoid,
-                                   should_recluster,
-                                   situation_similarity_matrix)
-from situbandit.errors import EmptyCluster, TooFewCases
-from situbandit.situation import DimensionWeights, Situation
+                                   kmedoids, should_recluster)
+from situbandit.errors import TooFewCases
+from situbandit.situation import Situation
 
 
 def random_sim_matrix(rng, n):
@@ -49,26 +47,6 @@ def test_config_validation():
         ClusteringConfig(max_iterations=0)
     with pytest.raises(ValueError):
         ClusteringConfig(recluster_period=0)
-
-
-def test_recompute_medoid_empty():
-    with pytest.raises(EmptyCluster):
-        recompute_medoid([], DimensionWeights(), None)
-
-
-def test_recompute_medoid_center(tiny_taxonomies):
-    # Lroot is equally close to every leaf; the leaves are spread out
-    members = [Situation("La1", "Ta1", "Sa1"),
-               Situation("Lroot", "Ta1", "Sa1"),
-               Situation("Lb1", "Ta1", "Sa1")]
-    idx = recompute_medoid(members, DimensionWeights(), tiny_taxonomies)
-    assert idx == 1
-
-
-def test_recompute_medoid_tie_breaks_low_index(tiny_taxonomies):
-    s = Situation("La1", "Ta1", "Sa1")
-    assert recompute_medoid([s, s, s], DimensionWeights(),
-                            tiny_taxonomies) == 0
 
 
 def test_too_few_cases():
@@ -162,8 +140,8 @@ def test_similarity_matrix_matches_scalar_path(tiny_taxonomies):
         cb.update_preferences(s, None, UserPreferences(
             {"d": DocumentStats("d", clicks=1, impressions=1)}))
     enc = cb.encoded
-    mat = situation_similarity_matrix(cb.index, enc.loc, enc.tim, enc.soc,
-                                      cb.weights.alpha)
+    mat = cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
+                                     cb.weights.alpha)
     for i, a in enumerate(sits):
         for j, b in enumerate(sits):
             assert mat[i, j] == pytest.approx(

@@ -1,14 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from situbandit.errors import UnknownConcept
 from situbandit.ontology import Dimension
 from situbandit.situation import (DimensionWeights, Situation, Taxonomies,
-                                  is_exact_match, record_gamma_and_update,
-                                  sim_per_dimension, unweighted_similarity,
-                                  weighted_similarity)
+                                  is_exact_match, sim_per_dimension,
+                                  unweighted_similarity, weighted_similarity)
 
 from conftest import chain, two_level
+
+
+def fixed_weights(alpha):
+    """Weights whose alpha is exactly `alpha`: one observation of it."""
+    return DimensionWeights(sums=tuple(alpha), count=1)
 
 
 @pytest.fixture
@@ -48,12 +55,12 @@ def test_weighted_similarity_examples(taxonomies):
     s1 = Situation("A", "Ta1", "Sa1")
     s2 = Situation("B", "Ta1", "Sa1")  # per-dim sims (0.8, 1, 1)
     assert weighted_similarity(
-        s1, s1, DimensionWeights(alpha=(1, 1, 1)), taxonomies) == \
+        s1, s1, fixed_weights((1, 1, 1)), taxonomies) == \
         pytest.approx(3.0)
     assert weighted_similarity(
-        s1, s2, DimensionWeights(alpha=(0, 0, 0)), taxonomies) == 0.0
+        s1, s2, fixed_weights((0, 0, 0)), taxonomies) == 0.0
     assert weighted_similarity(
-        s1, s2, DimensionWeights(alpha=(0.5, 0.5, 0.5)), taxonomies) == \
+        s1, s2, fixed_weights((0.5, 0.5, 0.5)), taxonomies) == \
         pytest.approx(1.4)
 
 
@@ -77,41 +84,33 @@ def test_exact_match_tolerance():
 def test_record_gamma_single_observation():
     w = DimensionWeights()
     assert w.alpha == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-    record_gamma_and_update(w, (1.0, 1.0, 1.0))
+    w.record((1.0, 1.0, 1.0))
     assert w.alpha == pytest.approx((1.0, 1.0, 1.0))
 
 
 def test_record_gamma_running_mean():
     w = DimensionWeights()
-    record_gamma_and_update(w, (0.8, 0.9, 1.0))
+    w.record((0.8, 0.9, 1.0))
     assert w.alpha == pytest.approx((0.8, 0.9, 1.0))
-    record_gamma_and_update(w, (1.0, 0.5, 0.5))
+    w.record((1.0, 0.5, 0.5))
     assert w.alpha[0] == pytest.approx(0.9)
-    record_gamma_and_update(w, (0.5, 0.5, 0.5))
+    w.record((0.5, 0.5, 0.5))
     # dimension 0 saw {0.8, 1.0, 0.5}
     assert w.alpha[0] == pytest.approx((0.8 + 1.0 + 0.5) / 3)
 
 
 def test_record_gamma_pair_mean():
     w = DimensionWeights()
-    record_gamma_and_update(w, (1.0, 1.0, 1.0))
-    record_gamma_and_update(w, (0.5, 1.0, 1.0))
+    w.record((1.0, 1.0, 1.0))
+    w.record((0.5, 1.0, 1.0))
     assert w.alpha[0] == pytest.approx(0.75)
-
-
-def test_windowed_mean():
-    w = DimensionWeights(window=2)
-    for sims in [(0.0, 0, 0), (1.0, 0, 0), (1.0, 0, 0)]:
-        record_gamma_and_update(w, sims)
-    assert w.alpha[0] == pytest.approx(1.0)
-    assert len(w.gamma_history[0]) == 2
 
 
 def test_alpha_stays_in_unit_interval():
     rng = np.random.default_rng(3)
     w = DimensionWeights()
     for _ in range(200):
-        record_gamma_and_update(w, tuple(rng.uniform(0, 1, 3)))
+        w.record(tuple(rng.uniform(0, 1, 3)))
         assert all(0.0 <= a <= 1.0 for a in w.alpha)
 
 
@@ -119,7 +118,7 @@ def test_self_similarity_equals_alpha_sum(tiny_taxonomies):
     rng = np.random.default_rng(4)
     for _ in range(20):
         alpha = tuple(rng.uniform(0, 1, 3))
-        w = DimensionWeights(alpha=alpha)
+        w = fixed_weights(alpha)
         s = Situation("La2", "Tb1", "Sa2")
         assert weighted_similarity(s, s, w, tiny_taxonomies) == \
             pytest.approx(sum(alpha))
@@ -139,8 +138,8 @@ def test_argmax_invariance_under_alpha_scaling(tiny_taxonomies):
     pool = [Situation("La2", "Ta1", "Sa1"),
             Situation("Lb1", "Tb1", "Sa1"),
             Situation("La1", "Ta2", "Sb1")]
-    base = DimensionWeights(alpha=(0.2, 0.5, 0.9))
-    scaled = DimensionWeights(alpha=(0.4, 1.0, 1.8))
+    base = fixed_weights((0.2, 0.5, 0.9))
+    scaled = fixed_weights((0.4, 1.0, 1.8))
 
     def argmax(w):
         sims = [weighted_similarity(query, p, w, tiny_taxonomies)
@@ -148,3 +147,49 @@ def test_argmax_invariance_under_alpha_scaling(tiny_taxonomies):
         return sims.index(max(sims))
 
     assert argmax(base) == argmax(scaled)
+
+
+gamma = st.floats(min_value=0.0, max_value=1.0)
+observations = st.lists(st.tuples(gamma, gamma, gamma), max_size=60)
+
+
+def mean_by_loop(values):
+    """Left-to-right float sum divided by the count. An explicit loop,
+    because the built-in sum switched to compensated summation in 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+@given(observations)
+def test_alpha_is_exact_running_mean(obs):
+    w = DimensionWeights()
+    for sims in obs:
+        w.record(sims)
+    if not obs:
+        assert w.alpha == (1 / 3, 1 / 3, 1 / 3)
+    else:
+        assert w.alpha == tuple(mean_by_loop([o[j] for o in obs])
+                                for j in range(3))
+    snap = w.to_snapshot()
+    assert snap == {"sums": list(w.sums), "count": len(obs)}
+    assert len(snap["sums"]) == 3  # no per-trial state
+
+
+@given(observations, st.data())
+def test_snapshot_resume_matches_uninterrupted(obs, data):
+    k = data.draw(st.integers(0, len(obs)))
+    straight = DimensionWeights()
+    for sims in obs:
+        straight.record(sims)
+    first = DimensionWeights()
+    for sims in obs[:k]:
+        first.record(sims)
+    resumed = DimensionWeights.from_snapshot(
+        json.loads(json.dumps(first.to_snapshot())))
+    for sims in obs[k:]:
+        resumed.record(sims)
+    assert resumed.alpha == straight.alpha
+    assert json.dumps(resumed.to_snapshot()) == \
+        json.dumps(straight.to_snapshot())
