@@ -4,8 +4,7 @@ replay simulation harness."""
 from .bandit import (BanditConfig, Branch, EpsilonTunerState,
                      GlobalEpsilonGreedy, Recommendation,
                      RecommendationEngine, TrialRecord, epsilon_greedy,
-                     get_ctr, greedy_top_n, random_slate, step,
-                     tune_epsilon)
+                     greedy_top_n, random_slate, step, tune_epsilon)
 from .casebase import (Case, CaseBase, DocumentStats, RetrievalResult,
                        UserPreferences)
 from .clustering import (ClusteringConfig, ClusteringResult,

@@ -7,18 +7,22 @@ absorb the click feedback, refresh the dimension weights, and re-cluster
 the case base periodically. A context-free variant keeps one global
 preference pool and ignores situations entirely; it is the comparison
 baseline for the clustering experiments.
+
+Slate selection reads the CTR ranking each preference map keeps current
+(`UserPreferences.ranking`), so a pick never re-scores or re-sorts the
+candidates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .casebase import (CaseBase, DocumentStats, RetrievalResult,
-                       UserPreferences)
+from .casebase import CaseBase, RetrievalResult, UserPreferences
 from .clustering import ClusteringConfig, cluster_situations, should_recluster
 from .errors import EmptyCandidates
 from .simindex import SituationIndex
@@ -77,42 +81,42 @@ def random_slate(pool: Sequence[str], n: int,
     return [pool[i] for i in picks]
 
 
-def get_ctr(ds: DocumentStats) -> float:
-    """Empirical click-through rate; zero-impression documents score 0."""
-    if ds.impressions <= 0:
-        return 0.0
-    return min(ds.clicks, ds.impressions) / ds.impressions
-
-
 def greedy_top_n(candidates: UserPreferences, n: int) -> List[str]:
     """Top-n documents by CTR, ties broken by lowest doc id."""
-    ranked = sorted(candidates.docs,
-                    key=lambda d: (-get_ctr(candidates.docs[d]), d))
-    return ranked[:n]
+    _, keys = candidates.ranking()
+    return [d for _, d in keys[:n]]
 
 
 def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
                    rng: np.random.Generator) -> List[str]:
     """Slate of up to n distinct documents: each pick exploits the argmax-CTR
-    document with probability 1 - epsilon, otherwise explores uniformly
-    among the documents not yet selected."""
+    document (lowest doc id among ties) with probability 1 - epsilon,
+    otherwise explores uniformly among the documents not yet selected.
+
+    Both kinds of pick read the map's maintained ranking, so a pick costs
+    O(n log m) for a slate of n from m candidates instead of O(m).
+    """
     if not candidates:
         raise EmptyCandidates("epsilon_greedy needs a non-empty candidate set")
-    remaining = sorted(candidates.docs)
-    ctr = {d: get_ctr(candidates.docs[d]) for d in remaining}
+    ids, keys = candidates.ranking()
     slate: List[str] = []
-    for _ in range(min(n, len(remaining))):
-        q = rng.random()
-        if q > epsilon:
-            # remaining is sorted, so the first maximum is the lowest doc id
-            pick = 0
-            best = ctr[remaining[0]]
-            for i in range(1, len(remaining)):
-                if ctr[remaining[i]] > best:
-                    best, pick = ctr[remaining[i]], i
+    taken = set()
+    top = 0  # every key before `top` is taken
+    for picked in range(min(n, len(ids))):
+        if rng.random() > epsilon:
+            while keys[top][1] in taken:
+                top += 1
+            pick = keys[top][1]
         else:
-            pick = int(rng.integers(len(remaining)))
-        slate.append(remaining.pop(pick))
+            # the k-th untaken id: shift k past every taken position <= it
+            pos = int(rng.integers(len(ids) - picked))
+            for p in sorted(bisect_left(ids, d) for d in slate):
+                if p > pos:
+                    break
+                pos += 1
+            pick = ids[pos]
+        taken.add(pick)
+        slate.append(pick)
     return slate
 
 

@@ -6,11 +6,16 @@ case base holds a single cluster (it was never partitioned) that is an
 exhaustive scan. Preference maintenance merges feedback into an
 exactly-matching case or inserts a new case otherwise; new cases join the
 nearest medoid's cluster until the next re-clustering pass.
+
+Each preference map also owns the CTR ranking that slate selection reads:
+`DocumentStats.ctr` is the one CTR definition, and a map builds its ranking
+on the first read and keeps it current in `merge` after that.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -44,20 +49,65 @@ class DocumentStats:
         return DocumentStats(self.doc_id, self.clicks, self.impressions,
                              self.reading_time, self.rating)
 
+    @property
+    def ctr(self) -> float:
+        """Empirical click-through rate; zero-impression documents score 0,
+        and clicks are capped at impressions (organic clicks never push the
+        rate above 1)."""
+        impressions = self.impressions
+        if impressions <= 0:
+            return 0.0
+        clicks = self.clicks
+        return clicks / impressions if clicks < impressions else 1.0
+
+
+#: A map's CTR ranking: its doc ids in sorted order, and its
+#: (-ctr, doc_id) keys in ascending order (best CTR first, lowest doc id
+#: first among equal CTRs).
+Ranking = Tuple[List[str], List[Tuple[float, str]]]
+
 
 class UserPreferences:
-    """Map of doc_id -> DocumentStats."""
+    """Map of doc_id -> DocumentStats, with a CTR ranking derived from it.
+
+    `docs` is the only source of truth. The ranking is built on the first
+    call to `ranking()` and `merge` keeps it current from then on, so after
+    the first slate read from a map its `docs` may change only through
+    `merge`. Maps that are only merged from (feedback) never build one.
+    """
 
     def __init__(self, docs: Optional[Dict[str, DocumentStats]] = None):
         self.docs: Dict[str, DocumentStats] = docs if docs is not None else {}
+        self._ranking: Optional[Ranking] = None
+
+    def ranking(self) -> Ranking:
+        """The map's CTR ranking; treat both lists as read-only."""
+        if self._ranking is None:
+            docs = self.docs
+            self._ranking = (sorted(docs),
+                             sorted((-s.ctr, d) for d, s in docs.items()))
+        return self._ranking
 
     def merge(self, other: "UserPreferences") -> None:
+        docs = self.docs
+        ranked = self._ranking
         for doc_id, stats in other.docs.items():
-            mine = self.docs.get(doc_id)
+            mine = docs.get(doc_id)
             if mine is None:
-                self.docs[doc_id] = stats.copy()
-            else:
+                mine = docs[doc_id] = stats.copy()
+                if ranked is not None:
+                    insort(ranked[0], doc_id)
+                    insort(ranked[1], (-mine.ctr, doc_id))
+            elif ranked is None:
                 mine.merge(stats)
+            else:
+                old = -mine.ctr
+                mine.merge(stats)
+                new = -mine.ctr
+                if new != old:
+                    keys = ranked[1]
+                    del keys[bisect_left(keys, (old, doc_id))]
+                    insort(keys, (new, doc_id))
 
     def copy(self) -> "UserPreferences":
         return UserPreferences({d: s.copy() for d, s in self.docs.items()})

@@ -91,6 +91,14 @@ def _parse_grid(grid: Optional[str], cfg: dict, key: str,
     return values
 
 
+def _integer(name: str, value: float) -> int:
+    """A grid value for an integer parameter; fractions are refused, not
+    truncated."""
+    if not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value:g}")
+    return int(value)
+
+
 @click.group()
 def main():
     """Contextual-bandit recommendation engine: offline experiments."""
@@ -172,7 +180,8 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
         # every run's configs before the first replay
         runs = []
         for value in values:
-            override = {**cfg, param: (int(value) if param in ("t_max", "ct")
+            override = {**cfg, param: (_integer(param, value)
+                                       if param in ("t_max", "ct")
                                        else value)}
             runs.extend((value, s, _bandit_config(override, s),
                          _clustering_config(override, s)) for s in seeds)
@@ -252,19 +261,21 @@ def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
     pairwise precision against the ground-truth groups."""
     def go():
         cfg = _load_config(config_path)
-        values = [int(v) for v in _parse_grid(grid, cfg, "grid",
-                                              [1, 5, 10, 20, 40, 60])]
+        values = [_integer("t_max", v)
+                  for v in _parse_grid(grid, cfg, "grid",
+                                       [1, 5, 10, 20, 40, 60])]
         seeds = _seeds(cfg, seeds_flag)
         sample_cfg = _world_config(cfg, key="sample_world", groups=10,
                                    situations_per_group=50, docs=200,
                                    preferred_docs_per_group=5)
+        # the sample and its similarity matrix do not depend on the seed,
+        # which only varies the clustering's initial medoids
+        world = generate_world(sample_cfg, seed=cfg.get("seed", 0))
+        enc = np.array([world.index.encode(x) for x in world.situations]).T
+        sim = world.index.pairwise_weighted(
+            enc[0], enc[1], enc[2], (1.0, 1.0, 1.0))
         lines = ["t_max\tseed\tprecision"]
         for s in seeds:
-            world = generate_world(sample_cfg, seed=cfg.get("seed", 0))
-            enc = np.array([world.index.encode(x)
-                            for x in world.situations]).T
-            sim = world.index.pairwise_weighted(
-                enc[0], enc[1], enc[2], (1.0, 1.0, 1.0))
             for t_max in values:
                 result = kmedoids(
                     sim, _clustering_config({**cfg, "t_max": t_max}, s))

@@ -2,10 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from situbandit.bandit import (BanditConfig, Branch, EpsilonTunerState,
                                GlobalEpsilonGreedy, RecommendationEngine,
-                               epsilon_greedy, get_ctr, greedy_top_n, step,
+                               epsilon_greedy, greedy_top_n, step,
                                tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.clustering import ClusteringConfig
@@ -38,10 +39,11 @@ def test_config_validation():
 
 
 def test_get_ctr():
-    assert get_ctr(stats("d", 3, 10)) == pytest.approx(0.3)
-    assert get_ctr(stats("d", 0, 0)) == 0.0
+    assert stats("d", 3, 10).ctr == pytest.approx(0.3)
+    assert stats("d", 0, 0).ctr == 0.0
+    assert stats("d", 4, 0).ctr == 0.0  # organic clicks, never shown
     # clicks are clamped to impressions (organic clicks never push ctr > 1)
-    assert get_ctr(stats("d", 7, 5)) == 1.0
+    assert stats("d", 7, 5).ctr == 1.0
 
 
 def test_greedy_top_n_order_and_ties(candidates):
@@ -80,6 +82,79 @@ def test_epsilon_one_is_uniform(candidates):
     expect = n / 5
     for doc in candidates.docs:
         assert abs(counts[doc] - expect) < 5 * np.sqrt(expect)
+
+
+# Reference selection: re-score and re-sort every candidate on each call,
+# reading nothing but `docs`.
+
+def oracle_ctr(ds):
+    if ds.impressions <= 0:
+        return 0.0
+    return min(ds.clicks, ds.impressions) / ds.impressions
+
+
+def oracle_greedy_top_n(candidates, n):
+    return sorted(candidates.docs,
+                  key=lambda d: (-oracle_ctr(candidates.docs[d]), d))[:n]
+
+
+def oracle_epsilon_greedy(candidates, n, epsilon, rng):
+    remaining = sorted(candidates.docs)
+    ctr = {d: oracle_ctr(candidates.docs[d]) for d in remaining}
+    slate = []
+    for _ in range(min(n, len(remaining))):
+        q = rng.random()
+        if q > epsilon:
+            pick = 0
+            best = ctr[remaining[0]]
+            for i in range(1, len(remaining)):
+                if ctr[remaining[i]] > best:
+                    best, pick = ctr[remaining[i]], i
+        else:
+            pick = int(rng.integers(len(remaining)))
+        slate.append(remaining.pop(pick))
+    return slate
+
+
+doc_ids = st.sampled_from([f"d{i:02d}" for i in range(12)])
+# small counters: many CTR ties, zero-impression organic clicks and
+# clicks > impressions all occur
+doc_maps = st.dictionaries(
+    doc_ids, st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
+slate_calls = st.tuples(
+    st.integers(1, 15),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.booleans())
+
+
+def as_prefs(counts):
+    return UserPreferences({d: stats(d, c, i) for d, (c, i) in counts.items()})
+
+
+@given(doc_maps, st.lists(st.one_of(doc_maps, slate_calls), max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_slates_match_rescoring_oracle(initial, ops, seed):
+    # `prefs` is long-lived like a case's map or the context-free pooled
+    # map: read, then merged into, then read again; `mirror` gets the same
+    # merges and is read only by the oracle
+    prefs, mirror = as_prefs(initial), as_prefs(initial)
+    rng, oracle_rng = (np.random.default_rng(seed),
+                       np.random.default_rng(seed))
+    for op in ops:
+        if isinstance(op, dict):
+            prefs.merge(as_prefs(op))
+            mirror.merge(as_prefs(op))
+            continue
+        n, epsilon, greedy = op
+        if greedy:
+            assert greedy_top_n(prefs, n) == oracle_greedy_top_n(mirror, n)
+        elif not mirror:
+            with pytest.raises(EmptyCandidates):
+                epsilon_greedy(prefs, n, epsilon, rng)
+        else:
+            assert (epsilon_greedy(prefs, n, epsilon, rng)
+                    == oracle_epsilon_greedy(mirror, n, epsilon, oracle_rng))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def make_engine(tiny_taxonomies, **kw):

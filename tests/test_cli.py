@@ -176,6 +176,10 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
          "--grid", "0"],
         ["tune-epsilon", "--config", str(tune_cfg), *world],
         ["cluster-eval", "--config", str(eval_cfg), "--grid", "0"],
+        # fractional integer parameters are refused, not truncated
+        ["sweep", "--config", str(cfg), *world, "--param", "ct",
+         "--grid", "1.5,1"],
+        ["cluster-eval", "--config", str(eval_cfg), "--grid", "2.5"],
     ]
     for args in cases:
         res = runner.invoke(main, args + ["--out", str(tmp_path / "o.tsv")])
