@@ -85,7 +85,7 @@ def _parse_grid(grid: Optional[str], cfg: dict, key: str,
     elif key in cfg:
         values = [float(v) for v in cfg[key]]
     else:
-        values = list(default) if default else []
+        values = [float(v) for v in default] if default else []
     if not values:
         raise ConfigError("empty sweep grid")
     return values

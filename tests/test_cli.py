@@ -156,6 +156,18 @@ def test_cluster_eval_table(runner, tmp_path):
         assert 0.0 <= float(line.split("\t")[2]) <= 1.0
 
 
+def test_cluster_eval_default_grid(runner, tmp_path):
+    cfg = tmp_path / "ce.yaml"
+    write_config(cfg, {"sample_world": dict(TINY_WORLD), "nc": 3})
+    out = tmp_path / "clusters.tsv"
+    res = runner.invoke(main, ["cluster-eval", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert [(t, s) for t, s, _ in rows] == [
+        (t, "0") for t in ("1", "5", "10", "20", "40", "60")]
+
+
 def test_missing_world_file(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--world",
                                str(tmp_path / "none.json")])
