@@ -26,7 +26,7 @@ from .casebase import CaseBase, RetrievalResult, UserPreferences
 from .clustering import ClusteringConfig, cluster_situations, should_recluster
 from .errors import EmptyCandidates
 from .simindex import SituationIndex
-from .situation import DimensionWeights, Situation, Taxonomies
+from .situation import Situation, Taxonomies
 
 
 @dataclass
@@ -133,14 +133,12 @@ class RecommendationEngine:
                  clustering: Optional[ClusteringConfig] = None,
                  hlcs: Sequence[Situation] = (),
                  clustering_enabled: bool = True,
-                 weights: Optional[DimensionWeights] = None,
                  index: Optional[SituationIndex] = None):
         self.config = config if config is not None else BanditConfig()
         self.clustering_cfg = (clustering if clustering is not None
                                else ClusteringConfig())
         self.clustering_enabled = clustering_enabled
-        self.casebase = CaseBase(taxonomies, weights=weights, hlcs=hlcs,
-                                 index=index)
+        self.casebase = CaseBase(taxonomies, hlcs=hlcs, index=index)
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
         self.tt = 0

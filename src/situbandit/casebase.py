@@ -1,11 +1,11 @@
 """Case memory: (situation, preferences) pairs with cluster-routed retrieval.
 
 Retrieval first picks the cluster whose medoid is most similar to the query
-(weighted similarity), then the best case inside that cluster; while the
-case base holds a single cluster (it was never partitioned) that is an
-exhaustive scan. Preference maintenance merges feedback into an
-exactly-matching case or inserts a new case otherwise; new cases join the
-nearest medoid's cluster until the next re-clustering pass.
+(weighted similarity), then the best of that cluster's members; a case base
+never partitioned is one cluster of every case, so that is an exhaustive
+scan. Preference maintenance merges feedback into an exactly-matching case
+or inserts a new case otherwise; a new case joins the cluster its query was
+routed to until the next re-clustering pass.
 
 Each preference map also owns the CTR ranking that slate selection reads:
 `DocumentStats.ctr` is the one CTR definition, and a map builds its ranking
@@ -18,7 +18,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,6 +130,7 @@ class RetrievalResult:
     case_index: int
     case: Case
     per_dim_sims: Tuple[float, float, float]
+    cluster: int  # the cluster the query was routed to
 
     @property
     def unweighted_sim(self) -> float:
@@ -137,22 +138,23 @@ class RetrievalResult:
 
 
 class CaseBase:
-    """All cases plus cluster assignments, medoids, HLCS set and weights.
+    """All cases plus their partition, HLCS set and weights.
 
-    Single-writer mutable state owned by one engine instance.
+    The partition is `medoids` (cluster id -> case index) and `members`
+    (cluster id -> ascending array of its case indices). Single-writer
+    mutable state owned by one engine instance.
     """
 
     def __init__(self, taxonomies: Taxonomies,
                  weights: Optional[DimensionWeights] = None,
                  hlcs: Iterable[Situation] = (),
                  index: Optional[SituationIndex] = None):
-        self.taxonomies = taxonomies
         self.index = index if index is not None else SituationIndex(taxonomies)
         self.weights = weights if weights is not None else DimensionWeights()
         self.cases: List[Case] = []
-        self.encoded = EncodedSituations(self.index)
-        self.cluster_of: List[int] = []
-        self.medoids: List[int] = []  # cluster id -> case index
+        self.encoded = EncodedSituations()
+        self.medoids: List[int] = []
+        self.members: List[np.ndarray] = []
         self.hlcs: set = set(hlcs)
 
     def __len__(self) -> int:
@@ -161,6 +163,14 @@ class CaseBase:
     @property
     def num_clusters(self) -> int:
         return len(self.medoids)
+
+    @property
+    def cluster_of(self) -> List[int]:
+        """Case index -> cluster id, derived from the member arrays."""
+        labels = np.empty(len(self.cases), dtype=np.int64)
+        for cluster, members in enumerate(self.members):
+            labels[members] = cluster
+        return labels.tolist()
 
     # -- retrieval ---------------------------------------------------------
 
@@ -171,47 +181,40 @@ class CaseBase:
         q = self.index.encode(current)
         alpha = self.weights.alpha
         enc = self.encoded
+        cluster = 0
         if len(self.medoids) > 1:
             med = np.asarray(self.medoids)
             med_sims = self.index.weighted_to_many(
                 q, enc.loc[med], enc.tim[med], enc.soc[med], alpha)
             cluster = int(np.argmax(med_sims))
-            members = np.flatnonzero(
-                np.asarray(self.cluster_of) == cluster)
-        else:
-            members = np.arange(len(self.cases))
+        members = self.members[cluster]
         sims = self.index.weighted_to_many(
             q, enc.loc[members], enc.tim[members], enc.soc[members], alpha)
         best = int(members[int(np.argmax(sims))])
-        per_dim = self.index.per_dim_sims(q, self.encoded.row(best))
-        return RetrievalResult(best, self.cases[best], per_dim)
+        per_dim = self.index.per_dim_sims(q, enc.row(best))
+        return RetrievalResult(best, self.cases[best], per_dim, cluster)
 
     # -- maintenance -------------------------------------------------------
 
     def update_preferences(self, current: Situation,
                            retrieved: Optional[RetrievalResult],
                            feedback: UserPreferences) -> None:
-        """Merge feedback into an exact-matching case, else insert a new one."""
+        """Merge feedback into an exact-matching case, else insert a new one
+        into the cluster `current` was routed to."""
         if retrieved is not None and is_exact_match(retrieved.unweighted_sim):
             retrieved.case.prefs.merge(feedback)
             return
-        self._insert(Case(current, feedback.copy()))
+        self._insert(Case(current, feedback.copy()),
+                     0 if retrieved is None else retrieved.cluster)
 
-    def _insert(self, case: Case) -> int:
+    def _insert(self, case: Case, cluster: int = 0) -> int:
         idx = len(self.cases)
         self.cases.append(case)
-        q = self.index.encode(case.situation)
-        self.encoded.append(q)
-        if not self.medoids:
-            self.medoids.append(idx)
-            self.cluster_of.append(0)
+        self.encoded.append(self.index.encode(case.situation))
+        if not self.medoids:  # the first case founds cluster 0
+            self.set_partition([0], [0])
         else:
-            enc = self.encoded
-            med = np.asarray(self.medoids)
-            sims = self.index.weighted_to_many(
-                q, enc.loc[med], enc.tim[med], enc.soc[med],
-                self.weights.alpha)
-            self.cluster_of.append(int(np.argmax(sims)))
+            self.members[cluster] = np.append(self.members[cluster], idx)
         return idx
 
     def mark_hlcs(self, s: Situation) -> None:
@@ -220,15 +223,23 @@ class CaseBase:
     def is_hlcs(self, s: Situation) -> bool:
         return s in self.hlcs
 
-    def set_partition(self, labels: Iterable[int],
-                      medoids: Iterable[int]) -> None:
-        labels = list(labels)
-        medoids = list(medoids)
+    def set_partition(self, labels: Sequence[int],
+                      medoids: Sequence[int]) -> None:
+        """Partition the cases: `labels` maps case index -> cluster id and
+        `medoids` cluster id -> case index, a case of its own cluster."""
+        labels = np.asarray(labels, dtype=np.int64)
+        medoids = [int(m) for m in medoids]
+        k = len(medoids)
         if len(labels) != len(self.cases):
             raise LabelMismatch(
                 f"{len(labels)} labels for {len(self.cases)} cases")
-        self.cluster_of = labels
+        if np.any((labels < 0) | (labels >= k)) \
+                or not all(0 <= m < len(labels) for m in medoids) \
+                or not np.array_equal(labels[medoids], np.arange(k)):
+            raise LabelMismatch(f"labels and medoids {medoids} are not a "
+                                f"partition into {k} clusters")
         self.medoids = medoids
+        self.members = [np.flatnonzero(labels == c) for c in range(k)]
 
     # -- persistence -------------------------------------------------------
 
@@ -275,8 +286,7 @@ class CaseBase:
             })
             cb.cases.append(Case(Situation(*entry["situation"]), prefs))
             cb.encoded.append(cb.index.encode(cb.cases[-1].situation))
-        cb.cluster_of = list(doc["cluster_of"])
-        cb.medoids = list(doc["medoids"])
+        cb.set_partition(doc["cluster_of"], doc["medoids"])
         cb.hlcs = {Situation(*t) for t in doc["hlcs"]}
         return cb
 

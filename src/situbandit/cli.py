@@ -69,23 +69,22 @@ def _world_config(cfg: dict, key: str = "world", **extra) -> WorldConfig:
     return WorldConfig(**merged)
 
 
-def _seeds(cfg: dict, flag: Optional[str], default: Optional[List[int]] = None
-           ) -> List[int]:
-    if flag:
-        return [int(s) for s in flag.split(",") if s.strip() != ""]
-    if "seeds" in cfg:
-        return [int(s) for s in cfg["seeds"]]
-    return default if default is not None else [0]
+def _numbers(kind: type, flag: Optional[str], cfg: dict, key: str,
+             default: list) -> list:
+    """The comma-separated `flag` values, else the config's `key` list, else
+    `default`, each converted by `kind`; a malformed value is a ConfigError."""
+    values = ([v for v in flag.split(",") if v.strip() != ""] if flag
+              else cfg.get(key, default))
+    try:
+        return [kind(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a list of numbers, got "
+                          f"{values!r}") from None
 
 
 def _parse_grid(grid: Optional[str], cfg: dict, key: str,
                 default: Optional[List[float]] = None) -> List[float]:
-    if grid:
-        values = [float(v) for v in grid.split(",") if v.strip() != ""]
-    elif key in cfg:
-        values = [float(v) for v in cfg[key]]
-    else:
-        values = [float(v) for v in default] if default else []
+    values = _numbers(float, grid, cfg, key, default or [])
     if not values:
         raise ConfigError("empty sweep grid")
     return values
@@ -175,7 +174,7 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
     def go():
         cfg = _load_config(config_path)
         values = _parse_grid(grid, cfg, "grid")
-        seeds = _seeds(cfg, seeds_flag)
+        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
         # the --param names are the config keys; build (and so validate)
         # every run's configs before the first replay
         runs = []
@@ -212,8 +211,8 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
     def go():
         cfg = _load_config(config_path)
         base = seed if seed is not None else cfg.get("seed", 0)
-        candidates = [float(e) for e in cfg.get("h_epsilon",
-                                                DEFAULT_H_EPSILON)]
+        candidates = _numbers(float, None, cfg, "h_epsilon",
+                              DEFAULT_H_EPSILON)
         configs = {e: _bandit_config({**cfg, "epsilon": e}, base)
                    for e in candidates}
         world = load_world(world_path)
@@ -264,7 +263,7 @@ def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
         values = [_integer("t_max", v)
                   for v in _parse_grid(grid, cfg, "grid",
                                        [1, 5, 10, 20, 40, 60])]
-        seeds = _seeds(cfg, seeds_flag)
+        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
         sample_cfg = _world_config(cfg, key="sample_world", groups=10,
                                    situations_per_group=50, docs=200,
                                    preferred_docs_per_group=5)

@@ -144,5 +144,5 @@ def cluster_situations(cb, cfg: ClusteringConfig):
     sim = cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
                                      cb.weights.alpha)
     result = kmedoids(sim, cfg)
-    cb.set_partition([int(l) for l in result.labels], result.medoids)
+    cb.set_partition(result.labels, result.medoids)
     return cb

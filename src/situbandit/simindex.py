@@ -18,28 +18,22 @@ from .situation import Situation, Taxonomies
 
 
 def concept_similarity_matrix(t: Taxonomy, order: Sequence[str]) -> np.ndarray:
-    """Dense Wu-Palmer matrix over `order`, a listing of all concept ids."""
-    n = len(order)
-    paths = []
-    for cid in order:
-        path = [cid]
-        while path[-1] != t.root:
-            path.append(t.parent[path[-1]])
-        path.reverse()
-        paths.append(path)
-    mat = np.empty((n, n), dtype=np.float64)
-    for i, pi in enumerate(paths):
-        for j in range(i, n):
-            pj = paths[j]
-            common = 0
-            for a, b in zip(pi, pj):
-                if a != b:
-                    break
-                common += 1
-            sim = 2.0 * common / (len(pi) + len(pj))
-            mat[i, j] = sim
-            mat[j, i] = sim
-    return mat
+    """Dense Wu-Palmer matrix over `order`, a listing of all concept ids.
+
+    A concept has one ancestor-or-self per depth, so the depth of two
+    concepts' least common subsumer counts the depths where their root
+    paths agree.
+    """
+    pos = {cid: i for i, cid in enumerate(order)}
+    paths = [t._root_path(cid) for cid in order]
+    depths = np.array([len(p) for p in paths])
+    at_depth = np.full((depths.max(), len(order)), -1)  # -1: below the concept
+    for i, path in enumerate(paths):
+        at_depth[:len(path), i] = [pos[c] for c in path]
+    common = np.zeros((len(order), len(order)))
+    for anc in at_depth:
+        common += (anc[:, None] == anc[None, :]) & (anc >= 0)
+    return 2.0 * common / (depths[:, None] + depths[None, :])
 
 
 class SituationIndex:
@@ -47,20 +41,16 @@ class SituationIndex:
 
     def __init__(self, taxonomies: Taxonomies):
         self.taxonomies = taxonomies
-        self.orders: Tuple[list, ...] = tuple(
-            sorted(t.nodes) for t in taxonomies.as_tuple())
+        orders = [sorted(t.nodes) for t in taxonomies.as_tuple()]
         self.index_of: Tuple[dict, ...] = tuple(
-            {cid: i for i, cid in enumerate(order)} for order in self.orders)
+            {cid: i for i, cid in enumerate(order)} for order in orders)
         self.matrices: Tuple[np.ndarray, ...] = tuple(
             concept_similarity_matrix(t, order)
-            for t, order in zip(taxonomies.as_tuple(), self.orders))
+            for t, order in zip(taxonomies.as_tuple(), orders))
 
     def encode(self, s: Situation) -> Tuple[int, int, int]:
         self.taxonomies.validate(s)
         return tuple(ix[c] for ix, c in zip(self.index_of, s.as_tuple()))
-
-    def decode(self, idx: Sequence[int]) -> Situation:
-        return Situation(*(order[i] for order, i in zip(self.orders, idx)))
 
     def per_dim_sims(self, a: Sequence[int],
                      b: Sequence[int]) -> Tuple[float, float, float]:
@@ -88,9 +78,8 @@ class SituationIndex:
 class EncodedSituations:
     """Growable parallel int arrays of encoded situations."""
 
-    def __init__(self, index: SituationIndex, capacity: int = 64):
-        self.index = index
-        self._data = np.empty((3, capacity), dtype=np.int64)
+    def __init__(self):
+        self._data = np.empty((3, 64), dtype=np.int64)
         self.size = 0
 
     def append(self, encoded: Sequence[int]) -> int:

@@ -1,10 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from situbandit.casebase import (Case, CaseBase, DocumentStats,
                                  UserPreferences)
+from situbandit.clustering import (ClusteringConfig, cluster_situations,
+                                   kmedoids)
 from situbandit.errors import LabelMismatch
-from situbandit.situation import Situation
+from situbandit.ontology import Dimension
+from situbandit.simindex import SituationIndex
+from situbandit.situation import Situation, Taxonomies, is_exact_match
+
+from conftest import two_level
 
 
 def prefs(**clicks):
@@ -107,11 +116,10 @@ def test_insert_joins_nearest_medoid_cluster(routed_cb):
 def test_tie_breaks_to_lowest_case_index(tiny_taxonomies):
     cb = CaseBase(tiny_taxonomies)
     s = Situation("La1", "Ta1", "Sa1")
-    cb.cases = [Case(s, prefs(d1=1)), Case(s, prefs(d2=1))]
-    cb.encoded.append(cb.index.encode(s))
-    cb.encoded.append(cb.index.encode(s))
-    cb.cluster_of = [0, 0]
-    cb.medoids = [0]
+    # duplicate situations never arise through update_preferences
+    cb._insert(Case(s, prefs(d1=1)))
+    cb._insert(Case(s, prefs(d2=1)))
+    assert cb.cluster_of == [0, 0] and cb.medoids == [0]
     assert cb.retrieve(s).case_index == 0
 
 
@@ -159,6 +167,23 @@ def test_set_partition_label_mismatch(routed_cb):
         routed_cb.set_partition([0, 1], [0, 3])
 
 
+@pytest.mark.parametrize("labels, medoids", [
+    ([0, 0, 0, 1, 1, 2], [0, 3]),     # a label without a medoid
+    ([0, 0, 0, 1, 1, -1], [0, 3]),    # a negative label
+    ([0, 0, 0, 1, 1, 1], [0, 6]),     # a medoid past the last case
+    ([0, 0, 0, 1, 1, 1], [0, -1]),    # a negative medoid
+    ([0, 0, 0, 1, 1, 1], [0, 1]),     # a medoid outside its own cluster
+])
+def test_bad_partition_is_refused_on_load(routed_cb, tiny_taxonomies,
+                                          labels, medoids):
+    with pytest.raises(LabelMismatch):
+        routed_cb.set_partition(labels, medoids)
+    doc = routed_cb.to_snapshot()
+    doc.update(cluster_of=labels, medoids=medoids)
+    with pytest.raises(LabelMismatch):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
 def test_hlcs_membership(tiny_taxonomies, base_situation):
     cb = CaseBase(tiny_taxonomies)
     assert not cb.is_hlcs(base_situation)
@@ -187,3 +212,88 @@ def test_snapshot_roundtrip(routed_cb, tmp_path, tiny_taxonomies):
     # and the reloaded base retrieves identically
     q = Situation("Lb2", "Ta1", "Sb1")
     assert back.retrieve(q).case_index == routed_cb.retrieve(q).case_index
+
+
+TAXONOMIES = Taxonomies(two_level(Dimension.LOCATION, "L"),
+                        two_level(Dimension.TIME, "T"),
+                        two_level(Dimension.SOCIAL, "S"))
+INDEX = SituationIndex(TAXONOMIES)
+SITUATIONS = [Situation(*c) for c in itertools.product(
+    *(sorted(t.nodes) for t in TAXONOMIES.as_tuple()))]
+
+
+class LabelListPartition:
+    """Reference partition kept as a case -> cluster label list: an insert
+    joins the medoid nearest to it, and retrieval rebuilds the routed
+    cluster's members from the labels on every call."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.encoded = []
+        self.labels = []
+        self.medoids = []
+
+    def _nearest_medoid(self, q) -> int:
+        loc, tim, soc = np.array(self.encoded, dtype=np.int64).T
+        med = np.asarray(self.medoids)
+        return int(np.argmax(INDEX.weighted_to_many(
+            q, loc[med], tim[med], soc[med], self.weights.alpha)))
+
+    def retrieve(self, q):
+        if not self.encoded:
+            return None
+        if len(self.medoids) > 1:
+            members = np.flatnonzero(
+                np.asarray(self.labels) == self._nearest_medoid(q))
+        else:
+            members = np.arange(len(self.encoded))
+        loc, tim, soc = np.array(self.encoded, dtype=np.int64)[members].T
+        sims = INDEX.weighted_to_many(q, loc, tim, soc, self.weights.alpha)
+        return int(members[int(np.argmax(sims))])
+
+    def insert(self, q) -> None:
+        self.encoded.append(q)
+        if not self.medoids:
+            self.medoids.append(0)
+            self.labels.append(0)
+        else:
+            self.labels.append(self._nearest_medoid(q))
+
+    def recluster(self, cfg: ClusteringConfig) -> None:
+        loc, tim, soc = np.array(self.encoded, dtype=np.int64).T
+        result = kmedoids(
+            INDEX.pairwise_weighted(loc, tim, soc, self.weights.alpha), cfg)
+        self.labels = [int(l) for l in result.labels]
+        self.medoids = list(result.medoids)
+
+
+partition_ops = st.lists(st.one_of(
+    st.tuples(st.just("trial"), st.sampled_from(SITUATIONS)),
+    st.tuples(st.just("record"), st.tuples(*[st.floats(0.0, 1.0)] * 3)),
+    st.tuples(st.just("recluster"), st.integers(1, 4),
+              st.integers(0, 2 ** 16))), max_size=60)
+
+
+@given(partition_ops)
+def test_partition_matches_label_list_reference(ops):
+    cb = CaseBase(TAXONOMIES, index=INDEX)
+    ref = LabelListPartition(cb.weights)
+    for op in ops:
+        if op[0] == "trial":
+            s = op[1]
+            q = INDEX.encode(s)
+            got = cb.retrieve(s)
+            want = ref.retrieve(q)
+            assert (None if got is None else got.case_index) == want
+            cb.update_preferences(s, got, prefs(d1=1))
+            if want is None or not is_exact_match(
+                    sum(INDEX.per_dim_sims(q, ref.encoded[want]))):
+                ref.insert(q)
+        elif op[0] == "record":
+            cb.weights.record(op[1])
+        elif len(cb) >= op[1]:
+            cfg = ClusteringConfig(num_clusters=op[1], seed=op[2])
+            cluster_situations(cb, cfg)
+            ref.recluster(cfg)
+        assert cb.cluster_of == ref.labels
+    assert cb.medoids == ref.medoids

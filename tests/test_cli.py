@@ -178,6 +178,8 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
     world_path, cfg = gen_world(runner, tmp_path)
     tune_cfg = tmp_path / "tune.yaml"
     write_config(tune_cfg, dict(FAST_RUN, h_epsilon=[0.5, 1.5]))
+    bad_tune_cfg = tmp_path / "bad_tune.yaml"
+    write_config(bad_tune_cfg, dict(FAST_RUN, h_epsilon=[0.5, "high"]))
     eval_cfg = tmp_path / "ce.yaml"
     write_config(eval_cfg, {"sample_world": dict(TINY_WORLD), "nc": 3})
     world = ["--world", str(world_path)]
@@ -192,6 +194,13 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
         ["sweep", "--config", str(cfg), *world, "--param", "ct",
          "--grid", "1.5,1"],
         ["cluster-eval", "--config", str(eval_cfg), "--grid", "2.5"],
+        # malformed numbers are refused, not raised as a ValueError
+        ["sweep", "--config", str(cfg), *world, "--param", "epsilon",
+         "--grid", "abc"],
+        ["sweep", "--config", str(cfg), *world, "--param", "epsilon",
+         "--grid", "0.1", "--seeds", "1,x"],
+        ["tune-epsilon", "--config", str(bad_tune_cfg), *world],
+        ["cluster-eval", "--config", str(eval_cfg), "--seeds", "y"],
     ]
     for args in cases:
         res = runner.invoke(main, args + ["--out", str(tmp_path / "o.tsv")])

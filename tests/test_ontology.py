@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from situbandit.errors import (CycleError, MultiRootError, ParseError,
                                UnknownConcept)
 from situbandit.ontology import (Dimension, depth, lcs, load_taxonomy,
                                  taxonomy_from_dict, taxonomy_to_dict,
                                  wu_palmer)
+from situbandit.simindex import concept_similarity_matrix
 
 from conftest import brute_force_wu_palmer, chain, random_tree
 
@@ -138,3 +140,15 @@ class TestProperties:
                     for child in t.children(b):
                         if lcs(t, a, child) == lcs(t, a, b):
                             assert wu_palmer(t, a, child) < wu_palmer(t, a, b)
+
+
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.randoms())
+def test_concept_matrix_equals_wu_palmer(n_nodes, seed, shuffle):
+    t = random_tree(np.random.default_rng(seed), n_nodes)
+    order = sorted(t.nodes)
+    shuffle.shuffle(order)
+    mat = concept_similarity_matrix(t, order)
+    assert mat.shape == (n_nodes, n_nodes)
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            assert mat[i, j] == wu_palmer(t, a, b)
