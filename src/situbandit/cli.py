@@ -98,6 +98,21 @@ def _integer(name: str, value: float) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """One `--seeds` string or config `seeds` entry; a fractional number is
+    refused, not truncated."""
+    if isinstance(value, float):
+        return _integer("seed", value)
+    return int(value)
+
+
+def _seeds(flag: Optional[str], cfg: dict) -> List[int]:
+    seeds = _numbers(_seed, flag, cfg, "seeds", [0])
+    if not seeds:
+        raise ConfigError("empty seed list")
+    return seeds
+
+
 @click.group()
 def main():
     """Contextual-bandit recommendation engine: offline experiments."""
@@ -174,7 +189,7 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
     def go():
         cfg = _load_config(config_path)
         values = _parse_grid(grid, cfg, "grid")
-        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
+        seeds = _seeds(seeds_flag, cfg)
         # the --param names are the config keys; build (and so validate)
         # every run's configs before the first replay
         runs = []
@@ -263,7 +278,7 @@ def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
         values = [_integer("t_max", v)
                   for v in _parse_grid(grid, cfg, "grid",
                                        [1, 5, 10, 20, 40, 60])]
-        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
+        seeds = _seeds(seeds_flag, cfg)
         sample_cfg = _world_config(cfg, key="sample_world", groups=10,
                                    situations_per_group=50, docs=200,
                                    preferred_docs_per_group=5)

@@ -19,6 +19,9 @@ from .errors import TooFewCases
 #: Upper bound on greedy medoid-swap passes after the alternating loop.
 MAX_SWAP_PASSES = 4
 
+#: Rows of the similarity matrix scored at a time by the swap refinement.
+SWAP_BLOCK_ROWS = 64
+
 
 @dataclass
 class ClusteringConfig:
@@ -75,26 +78,36 @@ def _objective(sim: np.ndarray, medoids: np.ndarray,
 
 
 def _swap_refine(sim: np.ndarray, medoids: np.ndarray, passes: int) -> bool:
-    """Greedy medoid swaps that improve the assignment objective."""
+    """Greedy medoid swaps that improve the assignment objective.
+
+    Replacing medoid `cid` by case c scores the sum over cases of
+    max(without, sim[:, c]), where `without` is each case's best similarity
+    to the other medoids. `sim` is symmetric, so column c is row c: the
+    scores are contiguous row sums, taken a block of rows at a time in one
+    reused buffer. Medoids need no masking: another medoid's terms are
+    `without` itself, none larger than the terms of `cid`'s own row, and
+    every row is summed in the same order with monotone rounding. So no
+    medoid scores above `cid`'s row, which is the current objective, and a
+    swap always goes to the lowest-index non-medoid with the highest score.
+    """
     n = sim.shape[0]
     k = len(medoids)
+    buf = np.empty((min(SWAP_BLOCK_ROWS, n), n))
+    gains = np.empty(n)
     improved_any = False
     for _ in range(passes):
         improved = False
         for cid in range(k):
-            others = np.delete(medoids, cid)
-            if len(others):
-                without = sim[:, others].max(axis=1)
-            else:
-                without = np.full(n, -np.inf)
-            current = float(np.maximum(without, sim[:, medoids[cid]]).sum())
-            cand = np.setdiff1d(np.arange(n), medoids)
-            if not len(cand):
-                continue
-            gains = np.maximum(without[:, None], sim[:, cand]).sum(axis=0)
+            without = sim[np.delete(medoids, cid)].max(axis=0,
+                                                       initial=-np.inf)
+            for start in range(0, n, len(buf)):
+                rows = sim[start:start + len(buf)]
+                block = np.maximum(rows, without, out=buf[:len(rows)])
+                block.sum(axis=1, out=gains[start:start + len(rows)])
+            current = gains[medoids[cid]]
             best = int(np.argmax(gains))
             if gains[best] > current + 1e-9:
-                medoids[cid] = cand[best]
+                medoids[cid] = best
                 improved = True
                 improved_any = True
         if not improved:
@@ -103,7 +116,11 @@ def _swap_refine(sim: np.ndarray, medoids: np.ndarray, passes: int) -> bool:
 
 
 def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
-    """Cluster items given their full pairwise similarity matrix."""
+    """Cluster items given their full pairwise similarity matrix.
+
+    `sim` must be symmetric: the swap refinement reads row c of `sim` as
+    the similarities to case c.
+    """
     n = sim.shape[0]
     if n < cfg.num_clusters:
         raise TooFewCases(f"{n} cases for {cfg.num_clusters} clusters")

@@ -69,10 +69,14 @@ class SituationIndex:
                           soc: np.ndarray,
                           alpha: Sequence[float]) -> np.ndarray:
         """Full weighted similarity matrix among encoded situations."""
-        m0, m1, m2 = self.matrices
-        return (alpha[0] * m0[np.ix_(loc, loc)]
-                + alpha[1] * m1[np.ix_(tim, tim)]
-                + alpha[2] * m2[np.ix_(soc, soc)])
+        # scaling a concept matrix before the gather multiplies the same
+        # pairs of floats as scaling the gathered n x n block; the sum keeps
+        # its left-to-right order
+        m0, m1, m2 = (a * m for a, m in zip(alpha, self.matrices))
+        out = m0.take(loc, 0).take(loc, 1)
+        out += m1.take(tim, 0).take(tim, 1)
+        out += m2.take(soc, 0).take(soc, 1)
+        return out
 
 
 class EncodedSituations:

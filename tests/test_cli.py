@@ -182,6 +182,10 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
     write_config(bad_tune_cfg, dict(FAST_RUN, h_epsilon=[0.5, "high"]))
     eval_cfg = tmp_path / "ce.yaml"
     write_config(eval_cfg, {"sample_world": dict(TINY_WORLD), "nc": 3})
+    no_seeds_cfg = tmp_path / "no_seeds.yaml"
+    write_config(no_seeds_cfg, dict(FAST_RUN, seeds=[]))
+    half_seed_cfg = tmp_path / "half_seed.yaml"
+    write_config(half_seed_cfg, dict(FAST_RUN, seeds=[1.5, 1]))
     world = ["--world", str(world_path)]
     cases = [
         ["sweep", "--config", str(cfg), *world, "--param", "epsilon",
@@ -201,6 +205,14 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
          "--grid", "0.1", "--seeds", "1,x"],
         ["tune-epsilon", "--config", str(bad_tune_cfg), *world],
         ["cluster-eval", "--config", str(eval_cfg), "--seeds", "y"],
+        # an empty seed list is refused, not run as zero replays
+        ["sweep", "--config", str(cfg), *world, "--param", "epsilon",
+         "--grid", "0.1", "--seeds", ","],
+        ["sweep", "--config", str(no_seeds_cfg), *world, "--param",
+         "epsilon", "--grid", "0.1"],
+        # fractional seeds are refused, not truncated into a repeated seed
+        ["sweep", "--config", str(half_seed_cfg), *world, "--param",
+         "epsilon", "--grid", "0.1"],
     ]
     for args in cases:
         res = runner.invoke(main, args + ["--out", str(tmp_path / "o.tsv")])

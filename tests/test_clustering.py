@@ -1,13 +1,19 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from situbandit import clustering
 from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
 from situbandit.clustering import (ClusteringConfig, cluster_situations,
                                    kmedoids, should_recluster)
 from situbandit.errors import TooFewCases
-from situbandit.situation import Situation
+from situbandit.ontology import Dimension
+from situbandit.simdata import balanced_taxonomy
+from situbandit.simindex import SituationIndex
+from situbandit.situation import DimensionWeights, Situation, Taxonomies
 
 
 def random_sim_matrix(rng, n):
@@ -147,3 +153,139 @@ def test_similarity_matrix_matches_scalar_path(tiny_taxonomies):
             assert mat[i, j] == pytest.approx(
                 weighted_similarity(a, b, cb.weights, tiny_taxonomies),
                 abs=1e-12)
+
+
+# -- oracles: the column-scan swap refinement and np.ix_ similarity build
+# that the blocked row-scan and gather-add forms replaced
+
+
+def oracle_swap_refine(sim, medoids, passes):
+    n = sim.shape[0]
+    k = len(medoids)
+    improved_any = False
+    for _ in range(passes):
+        improved = False
+        for cid in range(k):
+            others = np.delete(medoids, cid)
+            if len(others):
+                without = sim[:, others].max(axis=1)
+            else:
+                without = np.full(n, -np.inf)
+            current = float(np.maximum(without, sim[:, medoids[cid]]).sum())
+            cand = np.setdiff1d(np.arange(n), medoids)
+            if not len(cand):
+                continue
+            gains = np.maximum(without[:, None], sim[:, cand]).sum(axis=0)
+            best = int(np.argmax(gains))
+            if gains[best] > current + 1e-9:
+                medoids[cid] = cand[best]
+                improved = True
+                improved_any = True
+        if not improved:
+            break
+    return improved_any
+
+
+def oracle_kmedoids(sim, cfg):
+    with mock.patch.object(clustering, "_swap_refine", oracle_swap_refine):
+        return kmedoids(sim, cfg)
+
+
+def oracle_pairwise_weighted(index, loc, tim, soc, alpha):
+    m0, m1, m2 = index.matrices
+    return (alpha[0] * m0[np.ix_(loc, loc)]
+            + alpha[1] * m1[np.ix_(tim, tim)]
+            + alpha[2] * m2[np.ix_(soc, soc)])
+
+
+def quantized_sim_matrix(rng, n, levels, duplicates):
+    """Exactly symmetric matrix with unit diagonal whose off-diagonal values
+    are multiples of 1/levels, so equal gains occur; `duplicates` cases are
+    made copies of others, so equal rows occur too."""
+    m = rng.integers(0, levels + 1, size=(n, n)) / levels
+    m = np.triu(m, 1) + np.triu(m, 1).T
+    np.fill_diagonal(m, 1.0)
+    for _ in range(duplicates):
+        i, j = rng.integers(n, size=2)
+        m[i] = m[j]
+        m[:, i] = m[:, j]
+    assert np.array_equal(m, m.T)
+    return m
+
+
+@st.composite
+def swap_problems(draw):
+    """(sim, k, seed): n from k to 300, with sizes next to multiples of
+    the swap refinement's row block and of numpy's 128-term pairwise-sum
+    block drawn often. A hub case, fully similar to every case, at either
+    end of the matrix makes the first or the last row the best swap."""
+    k = draw(st.integers(1, 6))
+    edges = sorted({m + d for m in (clustering.SWAP_BLOCK_ROWS, 128, 256)
+                    for d in (-1, 0, 1)})
+    n = draw(st.one_of(st.integers(k, 300), st.sampled_from([k, *edges])))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    sim = quantized_sim_matrix(rng, n,
+                               levels=draw(st.sampled_from([1, 2, 3, 7, 10,
+                                                            1000])),
+                               duplicates=draw(st.integers(0, n // 2)))
+    hub = draw(st.sampled_from([None, 0, n - 1]))
+    if hub is not None:
+        sim[hub] = sim[:, hub] = 1.0
+    return sim, k, seed
+
+
+@settings(deadline=None)
+@given(swap_problems(), st.integers(1, clustering.MAX_SWAP_PASSES))
+def test_swap_refine_matches_column_scan_oracle(problem, passes):
+    sim, k, seed = problem
+    medoids = np.random.default_rng(seed).choice(sim.shape[0], size=k,
+                                                 replace=False)
+    expected = medoids.copy()
+    assert clustering._swap_refine(sim, medoids, passes) == \
+        oracle_swap_refine(sim, expected, passes)
+    assert np.array_equal(medoids, expected)
+
+
+@settings(deadline=None)
+@given(swap_problems(), st.sampled_from([1, 2, 60]))
+def test_kmedoids_matches_column_scan_oracle(problem, max_iterations):
+    sim, k, seed = problem
+    cfg = ClusteringConfig(num_clusters=k, max_iterations=max_iterations,
+                           seed=seed)
+    got, expected = kmedoids(sim, cfg), oracle_kmedoids(sim, cfg)
+    assert got.medoids == expected.medoids
+    assert np.array_equal(got.labels, expected.labels)
+    assert np.array(got.objective_trace).tobytes() == \
+        np.array(expected.objective_trace).tobytes()
+
+
+SIM_INDEX = SituationIndex(Taxonomies(
+    *(balanced_taxonomy(d, depth=4, branching=3)
+      for d in (Dimension.LOCATION, Dimension.TIME, Dimension.SOCIAL))))
+
+
+def alpha_after(observations):
+    """α of fresh DimensionWeights after recording `observations`."""
+    w = DimensionWeights()
+    for sims in observations:
+        w.record(sims)
+    return w.alpha
+
+
+unit = st.floats(0.0, 1.0)
+alphas = st.one_of(
+    st.tuples(unit, unit, unit),
+    st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=8).map(
+        alpha_after))
+
+
+@given(st.integers(1, 80), st.integers(0, 2 ** 32 - 1), alphas)
+def test_pairwise_weighted_is_symmetric_and_matches_ix_oracle(n, seed,
+                                                             alpha):
+    rng = np.random.default_rng(seed)
+    loc, tim, soc = (rng.integers(len(m), size=n) for m in SIM_INDEX.matrices)
+    sim = SIM_INDEX.pairwise_weighted(loc, tim, soc, alpha)
+    assert sim.tobytes() == sim.T.copy().tobytes()
+    assert sim.tobytes() == oracle_pairwise_weighted(
+        SIM_INDEX, loc, tim, soc, alpha).tobytes()
