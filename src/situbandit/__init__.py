@@ -8,7 +8,7 @@ from .bandit import (BanditConfig, Branch, EpsilonTunerState,
 from .casebase import (Case, CaseBase, DocumentStats, RetrievalResult,
                        UserPreferences)
 from .clustering import (ClusteringConfig, ClusteringResult,
-                         cluster_situations, kmedoids, should_recluster)
+                         cluster_situations, kmedoids)
 from .ontology import (Concept, Dimension, Taxonomy, depth, lcs,
                        load_taxonomy, taxonomy_from_dict, taxonomy_to_dict,
                        wu_palmer)

@@ -3,10 +3,11 @@
 The engine runs one trial per incoming situation: retrieve the nearest
 case, pick a slate (greedy in high-level critical situations, epsilon-
 greedy otherwise, uniform-random fallback below the similarity threshold),
-absorb the click feedback, refresh the dimension weights, and re-cluster
-the case base periodically. A context-free variant keeps one global
-preference pool and ignores situations entirely; it is the comparison
-baseline for the clustering experiments.
+absorb the click feedback and refresh the dimension weights. The engine
+does not cluster situations; k-medoid clustering is the separate
+precision experiment of `situbandit cluster-eval`. A context-free variant
+keeps one global preference pool and ignores situations entirely; it is
+the comparison baseline for the engine.
 
 Slate selection reads the CTR ranking each preference map keeps current
 (`UserPreferences.ranking`), so a pick never re-scores or re-sorts the
@@ -16,14 +17,15 @@ candidates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .casebase import CaseBase, RetrievalResult, UserPreferences
-from .clustering import ClusteringConfig, cluster_situations, should_recluster
+# perfbench patches `bandit.cluster_situations` by name
+from .clustering import ClusteringConfig, cluster_situations  # noqa: F401
 from .errors import EmptyCandidates
 from .simindex import SituationIndex
 from .situation import Situation, Taxonomies
@@ -121,23 +123,15 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
 
 
 class RecommendationEngine:
-    """Situation-aware engine: case retrieval + epsilon-greedy selection +
-    periodic situation clustering.
-
-    With clustering disabled the engine never partitions the case base, so
-    retrieval scans every case.
-    """
+    """Situation-aware engine: case retrieval + epsilon-greedy selection."""
 
     def __init__(self, taxonomies: Taxonomies, doc_pool: Sequence[str],
                  config: Optional[BanditConfig] = None,
-                 clustering: Optional[ClusteringConfig] = None,
                  hlcs: Sequence[Situation] = (),
-                 clustering_enabled: bool = True,
                  index: Optional[SituationIndex] = None):
         self.config = config if config is not None else BanditConfig()
-        self.clustering_cfg = (clustering if clustering is not None
-                               else ClusteringConfig())
-        self.clustering_enabled = clustering_enabled
+        # read by perfbench, which clusters the final case base with it
+        self.clustering_cfg = ClusteringConfig()
         self.casebase = CaseBase(taxonomies, hlcs=hlcs, index=index)
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
@@ -167,17 +161,10 @@ class RecommendationEngine:
     def observe(self, situation: Situation, rec: Recommendation,
                 feedback: UserPreferences) -> None:
         cb = self.casebase
-        cb.update_preferences(situation, rec.retrieval, feedback)
+        cb.update_preferences(situation, feedback)
         if rec.retrieval is not None:
             cb.weights.record(rec.retrieval.per_dim_sims)
         self.tt += 1
-        if (self.clustering_enabled
-                and should_recluster(self.tt, self.clustering_cfg.recluster_period)
-                and len(cb) >= self.clustering_cfg.num_clusters):
-            # vary the init draw between re-clustering passes, deterministically
-            cluster_situations(
-                cb, replace(self.clustering_cfg,
-                            seed=self.clustering_cfg.seed + self.tt))
 
 
 class GlobalEpsilonGreedy:

@@ -1,11 +1,10 @@
-"""Case memory: (situation, preferences) pairs with cluster-routed retrieval.
+"""Case memory: (situation, preferences) pairs with nearest-case retrieval.
 
-Retrieval first picks the cluster whose medoid is most similar to the query
-(weighted similarity), then the best of that cluster's members; a case base
-never partitioned is one cluster of every case, so that is an exhaustive
-scan. Preference maintenance merges feedback into an exactly-matching case
-or inserts a new case otherwise; a new case joins the cluster its query was
-routed to until the next re-clustering pass.
+Each situation is stored in at most one case, and `CaseBase.case_of` maps
+it to that case's index. Retrieval answers a query whose situation is
+stored from that map; any other query is scored against every case by
+weighted similarity. Preference maintenance merges feedback into the case
+stored for the situation or inserts a new case.
 
 Each preference map also owns the CTR ranking that slate selection reads:
 `DocumentStats.ctr` is the one CTR definition, and a map builds its ranking
@@ -18,14 +17,13 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import LabelMismatch
+from .errors import ParseError
 from .simindex import EncodedSituations, SituationIndex
-from .situation import (DimensionWeights, Situation, Taxonomies,
-                        is_exact_match)
+from .situation import DimensionWeights, Situation, Taxonomies
 
 
 @dataclass
@@ -130,7 +128,6 @@ class RetrievalResult:
     case_index: int
     case: Case
     per_dim_sims: Tuple[float, float, float]
-    cluster: int  # the cluster the query was routed to
 
     @property
     def unweighted_sim(self) -> float:
@@ -138,11 +135,11 @@ class RetrievalResult:
 
 
 class CaseBase:
-    """All cases plus their partition, HLCS set and weights.
+    """All cases plus their situation index, HLCS set and weights.
 
-    The partition is `medoids` (cluster id -> case index) and `members`
-    (cluster id -> ascending array of its case indices). Single-writer
-    mutable state owned by one engine instance.
+    `case_of` maps each stored situation to its case index; no situation
+    is stored twice. Single-writer mutable state owned by one engine
+    instance.
     """
 
     def __init__(self, taxonomies: Taxonomies,
@@ -152,94 +149,61 @@ class CaseBase:
         self.index = index if index is not None else SituationIndex(taxonomies)
         self.weights = weights if weights is not None else DimensionWeights()
         self.cases: List[Case] = []
+        self.case_of: Dict[Situation, int] = {}
         self.encoded = EncodedSituations()
-        self.medoids: List[int] = []
-        self.members: List[np.ndarray] = []
         self.hlcs: set = set(hlcs)
 
     def __len__(self) -> int:
         return len(self.cases)
 
-    @property
-    def num_clusters(self) -> int:
-        return len(self.medoids)
-
-    @property
-    def cluster_of(self) -> List[int]:
-        """Case index -> cluster id, derived from the member arrays."""
-        labels = np.empty(len(self.cases), dtype=np.int64)
-        for cluster, members in enumerate(self.members):
-            labels[members] = cluster
-        return labels.tolist()
-
     # -- retrieval ---------------------------------------------------------
 
     def retrieve(self, current: Situation) -> Optional[RetrievalResult]:
-        """Nearest case via cluster routing; None on an empty case base."""
+        """The case most similar to `current` by weighted similarity, the
+        lowest case index among ties; None on an empty case base.
+
+        A stored situation is answered from `case_of`. Wu-Palmer similarity
+        is 1 only between identical concepts, and every alpha is > 0 (1/3
+        at first, then a mean of such similarities): the stored case is the
+        unique argmax of the scan, and its per-dimension similarities are
+        exactly 1.0 (the concept-matrix diagonal is 2d/(2d)). Any other
+        query is scored against every case.
+        """
         if not self.cases:
             return None
+        hit = self.case_of.get(current)
+        if hit is not None:
+            return RetrievalResult(hit, self.cases[hit], (1.0, 1.0, 1.0))
         q = self.index.encode(current)
-        alpha = self.weights.alpha
         enc = self.encoded
-        cluster = 0
-        if len(self.medoids) > 1:
-            med = np.asarray(self.medoids)
-            med_sims = self.index.weighted_to_many(
-                q, enc.loc[med], enc.tim[med], enc.soc[med], alpha)
-            cluster = int(np.argmax(med_sims))
-        members = self.members[cluster]
-        sims = self.index.weighted_to_many(
-            q, enc.loc[members], enc.tim[members], enc.soc[members], alpha)
-        best = int(members[int(np.argmax(sims))])
+        sims = self.index.weighted_to_many(q, enc.loc, enc.tim, enc.soc,
+                                           self.weights.alpha)
+        best = int(np.argmax(sims))
         per_dim = self.index.per_dim_sims(q, enc.row(best))
-        return RetrievalResult(best, self.cases[best], per_dim, cluster)
+        return RetrievalResult(best, self.cases[best], per_dim)
 
     # -- maintenance -------------------------------------------------------
 
     def update_preferences(self, current: Situation,
-                           retrieved: Optional[RetrievalResult],
                            feedback: UserPreferences) -> None:
-        """Merge feedback into an exact-matching case, else insert a new one
-        into the cluster `current` was routed to."""
-        if retrieved is not None and is_exact_match(retrieved.unweighted_sim):
-            retrieved.case.prefs.merge(feedback)
-            return
-        self._insert(Case(current, feedback.copy()),
-                     0 if retrieved is None else retrieved.cluster)
-
-    def _insert(self, case: Case, cluster: int = 0) -> int:
-        idx = len(self.cases)
-        self.cases.append(case)
-        self.encoded.append(self.index.encode(case.situation))
-        if not self.medoids:  # the first case founds cluster 0
-            self.set_partition([0], [0])
+        """Merge feedback into the case stored for `current`, else insert a
+        new case holding a copy of it."""
+        hit = self.case_of.get(current)
+        if hit is not None:
+            self.cases[hit].prefs.merge(feedback)
         else:
-            self.members[cluster] = np.append(self.members[cluster], idx)
-        return idx
+            self._insert(Case(current, feedback.copy()))
+
+    def _insert(self, case: Case) -> None:
+        self.encoded.append(self.index.encode(case.situation))
+        self.case_of[case.situation] = len(self.cases)
+        self.cases.append(case)
 
     def mark_hlcs(self, s: Situation) -> None:
         self.hlcs.add(s)
 
     def is_hlcs(self, s: Situation) -> bool:
         return s in self.hlcs
-
-    def set_partition(self, labels: Sequence[int],
-                      medoids: Sequence[int]) -> None:
-        """Partition the cases: `labels` maps case index -> cluster id and
-        `medoids` cluster id -> case index, a case of its own cluster."""
-        labels = np.asarray(labels, dtype=np.int64)
-        medoids = [int(m) for m in medoids]
-        k = len(medoids)
-        if len(labels) != len(self.cases):
-            raise LabelMismatch(
-                f"{len(labels)} labels for {len(self.cases)} cases")
-        if np.any((labels < 0) | (labels >= k)) \
-                or not all(0 <= m < len(labels) for m in medoids) \
-                or not np.array_equal(labels[medoids], np.arange(k)):
-            raise LabelMismatch(f"labels and medoids {medoids} are not a "
-                                f"partition into {k} clusters")
-        self.medoids = medoids
-        self.members = [np.flatnonzero(labels == c) for c in range(k)]
 
     # -- persistence -------------------------------------------------------
 
@@ -261,8 +225,6 @@ class CaseBase:
                 }
                 for c in self.cases
             ],
-            "cluster_of": list(self.cluster_of),
-            "medoids": list(self.medoids),
             "hlcs": sorted(list(s.as_tuple()) for s in self.hlcs),
             "weights": self.weights.to_snapshot(),
         }
@@ -274,6 +236,9 @@ class CaseBase:
     @classmethod
     def from_snapshot(cls, doc: dict, taxonomies: Taxonomies,
                       index: Optional[SituationIndex] = None) -> "CaseBase":
+        """Rebuild a case base from `to_snapshot` output. The `cluster_of`
+        and `medoids` keys of snapshots that still carry a partition are
+        ignored; a snapshot that lists one situation twice is refused."""
         cb = cls(taxonomies,
                  weights=DimensionWeights.from_snapshot(doc["weights"]),
                  index=index)
@@ -284,9 +249,11 @@ class CaseBase:
                                            d["reading_time"], d["rating"])
                 for d in entry["docs"]
             })
-            cb.cases.append(Case(Situation(*entry["situation"]), prefs))
-            cb.encoded.append(cb.index.encode(cb.cases[-1].situation))
-        cb.set_partition(doc["cluster_of"], doc["medoids"])
+            situation = Situation(*entry["situation"])
+            if situation in cb.case_of:
+                raise ParseError(f"snapshot lists situation "
+                                 f"{situation.as_tuple()} twice")
+            cb._insert(Case(situation, prefs))
         cb.hlcs = {Situation(*t) for t in doc["hlcs"]}
         return cb
 

@@ -52,7 +52,6 @@ def _clustering_config(cfg: dict, seed: int) -> ClusteringConfig:
         return ClusteringConfig(
             num_clusters=cfg.get("nc", 10),
             max_iterations=cfg.get("t_max", 60),
-            recluster_period=cfg.get("ct", 40),
             seed=seed,
             refine=cfg.get("refine", True))
     except ValueError as exc:
@@ -158,8 +157,7 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
         cfg = _load_config(config_path)
         base = seed if seed is not None else cfg.get("seed", 0)
         world = load_world(world_path)
-        pol = build_policy(policy, world, _bandit_config(cfg, base),
-                           _clustering_config(cfg, base))
+        pol = build_policy(policy, world, _bandit_config(cfg, base))
         report = replay_evaluate(
             pol, world,
             iterations=cfg.get("iterations", 10000),
@@ -175,8 +173,8 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--world", "world_path", type=click.Path(exists=True),
               required=True)
-@click.option("--param", type=click.Choice(["epsilon", "threshold_b",
-                                            "t_max", "ct"]), required=True)
+@click.option("--param", type=click.Choice(["epsilon", "threshold_b"]),
+              required=True)
 @click.option("--grid", default=None, help="comma-separated grid values")
 @click.option("--seeds", "seeds_flag", default=None,
               help="comma-separated seeds")
@@ -191,18 +189,13 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
         values = _parse_grid(grid, cfg, "grid")
         seeds = _seeds(seeds_flag, cfg)
         # the --param names are the config keys; build (and so validate)
-        # every run's configs before the first replay
-        runs = []
-        for value in values:
-            override = {**cfg, param: (_integer(param, value)
-                                       if param in ("t_max", "ct")
-                                       else value)}
-            runs.extend((value, s, _bandit_config(override, s),
-                         _clustering_config(override, s)) for s in seeds)
+        # every run's config before the first replay
+        runs = [(value, s, _bandit_config({**cfg, param: value}, s))
+                for value in values for s in seeds]
         world = load_world(world_path)
         lines = ["param\tvalue\tseed\tfinal_avctr"]
-        for value, s, bandit_cfg, cluster_cfg in runs:
-            pol = build_policy(policy, world, bandit_cfg, cluster_cfg)
+        for value, s, bandit_cfg in runs:
+            pol = build_policy(policy, world, bandit_cfg)
             report = replay_evaluate(
                 pol, world,
                 iterations=cfg.get("iterations", 10000),
@@ -234,8 +227,7 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
         rounds = int(cfg.get("rounds", 200))
         episode_length = int(cfg.get("episode_length", 50))
         engine = build_policy("clustering-eps-greedy", world,
-                              _bandit_config(cfg, base),
-                              _clustering_config(cfg, base))
+                              _bandit_config(cfg, base))
         rng = np.random.default_rng(base + 10 ** 6)
         source = world.feedback_source(rng)
         n_situations = len(world.situations)

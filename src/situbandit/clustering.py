@@ -1,10 +1,12 @@
 """Semantic k-medoid clustering of situations.
 
-Medoids are actual situations (symbolic triples admit no mean vector).
-The core loop alternates similarity-maximizing assignment with medoid
-recomputation, with deterministic repair of emptied clusters and an
-optional greedy medoid-swap refinement pass that escapes the local optima
-a purely random initialization tends to land in.
+This is the paper's clustering-precision experiment (`situbandit
+cluster-eval`); the recommendation engine does not cluster. Medoids are
+actual situations (symbolic triples admit no mean vector). The core loop
+alternates similarity-maximizing assignment with medoid recomputation,
+with deterministic repair of emptied clusters and an optional greedy
+medoid-swap refinement pass that escapes the local optima a purely random
+initialization tends to land in.
 """
 
 from __future__ import annotations
@@ -27,15 +29,13 @@ SWAP_BLOCK_ROWS = 64
 class ClusteringConfig:
     num_clusters: int = 10
     max_iterations: int = 60
-    recluster_period: int = 40
     seed: int = 0
     refine: bool = True
 
     def __post_init__(self):
-        if self.num_clusters < 1 or self.max_iterations < 1 \
-                or self.recluster_period < 1:
-            raise ValueError("num_clusters, max_iterations and "
-                             "recluster_period must all be >= 1")
+        if self.num_clusters < 1 or self.max_iterations < 1:
+            raise ValueError("num_clusters and max_iterations must both "
+                             "be >= 1")
 
 
 @dataclass
@@ -43,11 +43,6 @@ class ClusteringResult:
     labels: np.ndarray          # case index -> cluster id
     medoids: List[int]          # cluster id -> case index
     objective_trace: List[float]
-
-
-def should_recluster(tt: int, ct: int) -> bool:
-    """Periodic trigger: re-cluster every ct engine iterations."""
-    return tt > 0 and tt % ct == 0
 
 
 def _assign(sim: np.ndarray, medoids: np.ndarray) -> np.ndarray:
@@ -155,11 +150,10 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
                             objective_trace=trace)
 
 
-def cluster_situations(cb, cfg: ClusteringConfig):
-    """Re-cluster a case base in place; returns it with fresh assignments."""
+# perfbench measures the peak memory of this function by name
+def cluster_situations(cb, cfg: ClusteringConfig) -> ClusteringResult:
+    """Partition a case base's situations under its current weights; the
+    case base is not changed."""
     enc = cb.encoded
-    sim = cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
-                                     cb.weights.alpha)
-    result = kmedoids(sim, cfg)
-    cb.set_partition(result.labels, result.medoids)
-    return cb
+    return kmedoids(cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
+                                               cb.weights.alpha), cfg)

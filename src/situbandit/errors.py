@@ -6,7 +6,7 @@ class SitubanditError(Exception):
 
 
 class ParseError(SitubanditError):
-    """Malformed taxonomy or config document."""
+    """Malformed taxonomy, config or snapshot document."""
 
 
 class CycleError(SitubanditError):

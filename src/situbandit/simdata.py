@@ -384,17 +384,17 @@ class OraclePolicy:
         pass
 
 
-POLICY_NAMES = ("clustering-eps-greedy", "context-eps-greedy", "eps-greedy",
-                "random", "oracle")
+POLICY_NAMES = ("clustering-eps-greedy", "eps-greedy", "random", "oracle")
 
 
 def build_policy(name: str, world: SyntheticWorld, bandit_cfg=None,
-                 clustering_cfg=None, seed: Optional[int] = None):
+                 seed: Optional[int] = None):
     """Construct a policy by CLI name.
 
-    clustering-eps-greedy: the full engine. context-eps-greedy: same engine
-    with clustering disabled (exhaustive case retrieval). eps-greedy: the
-    context-free global bandit. random / oracle: floor and ceiling baselines.
+    clustering-eps-greedy: the situation-aware engine, which does not
+    cluster; the name stays because the benchmark workloads use it.
+    eps-greedy: the context-free global bandit. random / oracle: floor and
+    ceiling baselines.
     """
     from .bandit import (BanditConfig, GlobalEpsilonGreedy,
                          RecommendationEngine)
@@ -404,12 +404,6 @@ def build_policy(name: str, world: SyntheticWorld, bandit_cfg=None,
         cfg = dataclasses.replace(cfg, seed=seed)
     if name == "clustering-eps-greedy":
         return RecommendationEngine(world.taxonomies, world.doc_ids, cfg,
-                                    clustering=clustering_cfg,
-                                    index=world.index)
-    if name == "context-eps-greedy":
-        return RecommendationEngine(world.taxonomies, world.doc_ids, cfg,
-                                    clustering=clustering_cfg,
-                                    clustering_enabled=False,
                                     index=world.index)
     if name == "eps-greedy":
         return GlobalEpsilonGreedy(world.doc_ids, cfg)

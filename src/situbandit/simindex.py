@@ -16,6 +16,10 @@ import numpy as np
 from .ontology import Taxonomy
 from .situation import Situation, Taxonomies
 
+#: Rows of the weighted similarity matrix gathered at a time after the first
+#: dimension's term.
+PAIRWISE_BLOCK_ROWS = 256
+
 
 def concept_similarity_matrix(t: Taxonomy, order: Sequence[str]) -> np.ndarray:
     """Dense Wu-Palmer matrix over `order`, a listing of all concept ids.
@@ -71,11 +75,14 @@ class SituationIndex:
         """Full weighted similarity matrix among encoded situations."""
         # scaling a concept matrix before the gather multiplies the same
         # pairs of floats as scaling the gathered n x n block; the sum keeps
-        # its left-to-right order
+        # its left-to-right order. The second and third terms are gathered
+        # a block of rows at a time, so only one n x n array is ever held.
         m0, m1, m2 = (a * m for a, m in zip(alpha, self.matrices))
         out = m0.take(loc, 0).take(loc, 1)
-        out += m1.take(tim, 0).take(tim, 1)
-        out += m2.take(soc, 0).take(soc, 1)
+        for start in range(0, len(loc), PAIRWISE_BLOCK_ROWS):
+            rows = slice(start, start + PAIRWISE_BLOCK_ROWS)
+            out[rows] += m1.take(tim[rows], 0).take(tim, 1)
+            out[rows] += m2.take(soc[rows], 0).take(soc, 1)
         return out
 
 

@@ -2,10 +2,9 @@
 
 A situation is a (location, time, social) triple of concept ids, one per
 taxonomy. Retrieval scores situations with a weighted sum of per-dimension
-Wu-Palmer similarities; the threshold and exact-match tests use the plain
-unweighted sum (which is 3.0 exactly when the triples are equal). The
-weights are the running mean of the per-dimension similarities of past
-retrievals.
+Wu-Palmer similarities; the threshold test uses the plain unweighted sum
+(which is 3.0 exactly when the triples are equal). The weights are the
+running mean of the per-dimension similarities of past retrievals.
 """
 
 from __future__ import annotations
@@ -109,6 +108,7 @@ def unweighted_similarity(s1: Situation, s2: Situation,
     return sum(sim_per_dimension(s1, s2, taxonomies))
 
 
+# perfbench reads this to count exact hits
 def is_exact_match(sim: float) -> bool:
     """Whether an unweighted similarity counts as sim == 3."""
     return sim >= 3.0 - EXACT_MATCH_TOL

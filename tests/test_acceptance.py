@@ -18,14 +18,14 @@ from scipy import stats as scipy_stats
 
 from situbandit.bandit import (BanditConfig, EpsilonTunerState,
                                epsilon_greedy, greedy_top_n, tune_epsilon)
-from situbandit.casebase import (Case, CaseBase, DocumentStats,
-                                 UserPreferences)
+from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.cli import main as cli_main
-from situbandit.clustering import ClusteringConfig, cluster_situations, kmedoids
+from situbandit.clustering import ClusteringConfig, kmedoids
 from situbandit.ontology import wu_palmer
 from situbandit.simdata import (WorldConfig, build_policy,
                                 clustering_precision, generate_world,
                                 replay_evaluate)
+from situbandit.simindex import SituationIndex
 from situbandit.situation import Situation
 
 from conftest import brute_force_wu_palmer, random_tree
@@ -64,8 +64,7 @@ def run_replay(criterion, policy_name, world, seed, epsilon=0.1, b=2.4,
                iterations=10000):
     pol = build_policy(policy_name, world,
                        BanditConfig(epsilon=epsilon, threshold_b=b,
-                                    seed=seed),
-                       ClusteringConfig(seed=seed))
+                                    seed=seed))
     rep = replay_evaluate(pol, world, iterations=iterations,
                           report_period=1000, seed=seed + 1000)
     # independent recount from the raw trial log (criterion 9)
@@ -142,24 +141,20 @@ def test_criterion_3_kmedoid_suite(tiny_taxonomies):
         monotone_ok &= all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
     # 2-group separable world: identical within, sibling concepts across
-    cb = CaseBase(tiny_taxonomies)
-    ground = []
-    for g, (loc, tim, soc) in enumerate((("La1", "Ta1", "Sa1"),
-                                         ("La2", "Ta2", "Sa2"))):
-        for _ in range(4):
-            # distinct cases for identical situations: insert directly
-            cb._insert(Case(Situation(loc, tim, soc), UserPreferences()))
-            ground.append(g)
-    cluster_situations(cb, ClusteringConfig(num_clusters=2, seed=0))
-    enc = cb.encoded
-    sim = cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
-                                     cb.weights.alpha)
+    index = SituationIndex(tiny_taxonomies)
+    situations = [Situation(*triple)
+                  for triple in (("La1", "Ta1", "Sa1"), ("La2", "Ta2", "Sa2"))
+                  for _ in range(4)]
+    ground = [0] * 4 + [1] * 4
+    loc, tim, soc = np.array([index.encode(s) for s in situations]).T
+    sim = index.pairwise_weighted(loc, tim, soc, (1 / 3, 1 / 3, 1 / 3))
+    res = kmedoids(sim, ClusteringConfig(num_clusters=2, seed=0))
     best = max(float(sim[:, list(pair)].max(axis=1).sum())
-               for pair in itertools.combinations(range(len(cb)), 2))
-    got = float(sim[np.arange(len(cb)),
-                    np.asarray(cb.medoids)[cb.cluster_of]].sum())
+               for pair in itertools.combinations(range(len(situations)), 2))
+    got = float(sim[np.arange(len(situations)),
+                    np.asarray(res.medoids)[res.labels]].sum())
     optimum_ok = abs(got - best) < 1e-9
-    partition_ok = clustering_precision(cb.cluster_of, ground) == 1.0
+    partition_ok = clustering_precision(res.labels, ground) == 1.0
     elapsed = time.perf_counter() - t0
     ok = monotone_ok and optimum_ok and partition_ok and elapsed < 30.0
     report(3, "k-medoid monotonicity + 2-group optimum", ok,

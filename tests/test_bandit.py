@@ -1,15 +1,16 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from situbandit import bandit
 from situbandit.bandit import (BanditConfig, Branch, EpsilonTunerState,
                                GlobalEpsilonGreedy, RecommendationEngine,
                                epsilon_greedy, greedy_top_n, step,
                                tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
-from situbandit.clustering import ClusteringConfig
 from situbandit.errors import EmptyCandidates
 from situbandit.situation import Situation
 
@@ -230,34 +231,19 @@ def test_engine_counts_and_weights_update(tiny_taxonomies, base_situation):
     assert eng.casebase.weights.alpha == pytest.approx((1.0, 1.0, 1.0))
 
 
-def test_engine_reclusters_on_schedule(tiny_taxonomies):
-    eng = make_engine(tiny_taxonomies,
-                      clustering=ClusteringConfig(num_clusters=2,
-                                                  recluster_period=5))
-    rng = np.random.default_rng(3)
+def test_engine_no_clustering_variant(tiny_taxonomies):
+    # the engine never clusters, and stores each situation in one case
+    eng = RecommendationEngine(tiny_taxonomies, doc_pool=["d1", "d2"])
+    rng = np.random.default_rng(4)
     sits = [Situation(f"L{c}{rng.integers(1, 3)}", f"T{c}{rng.integers(1, 3)}",
                       f"S{c}{rng.integers(1, 3)}")
-            for c in "ab" for _ in range(6)]
-    for s in sits[:4]:
-        step(eng, s, feedback_all_clicked)
-    assert eng.casebase.num_clusters == 1  # not yet triggered
-    for s in sits[4:]:
-        step(eng, s, feedback_all_clicked)
-    assert eng.tt == 12
-    assert eng.casebase.num_clusters == 2
-
-
-def test_engine_no_clustering_variant(tiny_taxonomies):
-    eng = RecommendationEngine(
-        tiny_taxonomies, doc_pool=["d1", "d2"],
-        clustering=ClusteringConfig(num_clusters=2, recluster_period=2),
-        clustering_enabled=False)
-    rng = np.random.default_rng(4)
-    for _ in range(8):
-        s = Situation(f"La{rng.integers(1, 3)}", "Ta1", "Sa1")
-        step(eng, s, feedback_all_clicked)
-    assert eng.casebase.num_clusters == 1
-    assert eng.casebase.medoids == [0]  # never partitioned: full scan
+            for c in "ab" for _ in range(40)]
+    with mock.patch.object(bandit, "cluster_situations",
+                           side_effect=AssertionError("engine clustered")):
+        for s in sits:
+            step(eng, s, feedback_all_clicked)
+    assert eng.tt == len(sits)
+    assert len(eng.casebase) == len(eng.casebase.case_of) == len(set(sits))
 
 
 def test_engine_deterministic_given_seed(tiny_taxonomies):

@@ -93,7 +93,7 @@ def test_simulate_reruns_are_byte_identical(runner, tmp_path):
 
 def test_simulate_all_policies(runner, tmp_path):
     world_path, cfg = gen_world(runner, tmp_path)
-    for policy in ("context-eps-greedy", "eps-greedy", "random", "oracle"):
+    for policy in ("eps-greedy", "random", "oracle"):
         out = tmp_path / f"{policy}.tsv"
         res = runner.invoke(main, ["simulate", "--config", str(cfg),
                                    "--world", str(world_path),
@@ -121,6 +121,25 @@ def test_sweep_rejects_unknown_param(runner, tmp_path):
     res = runner.invoke(main, ["sweep", "--world", str(world_path),
                                "--param", "gamma", "--grid", "1"])
     assert res.exit_code != 0
+
+
+def test_removed_choices_are_usage_errors(runner, tmp_path):
+    # the engine no longer clusters: t_max and ct change no replay, and
+    # context-eps-greedy was the same engine as clustering-eps-greedy
+    world_path, cfg = gen_world(runner, tmp_path)
+    world = ["--config", str(cfg), "--world", str(world_path)]
+    cases = [
+        ["sweep", *world, "--param", "ct", "--grid", "40"],
+        ["sweep", *world, "--param", "t_max", "--grid", "60"],
+        ["simulate", *world, "--policy", "context-eps-greedy"],
+    ]
+    for args in cases:
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o.tsv")])
+        assert res.exit_code == 2, (args, res.output)
+        assert "Invalid value" in res.output, args
+        assert "Traceback" not in res.output, args
+        assert isinstance(res.exception, SystemExit), (args, res.exception)
+        assert not (tmp_path / "o.tsv").exists()
 
 
 def test_tune_epsilon_trace(runner, tmp_path):
@@ -190,13 +209,9 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
     cases = [
         ["sweep", "--config", str(cfg), *world, "--param", "epsilon",
          "--grid", "1.5"],
-        ["sweep", "--config", str(cfg), *world, "--param", "ct",
-         "--grid", "0"],
         ["tune-epsilon", "--config", str(tune_cfg), *world],
         ["cluster-eval", "--config", str(eval_cfg), "--grid", "0"],
         # fractional integer parameters are refused, not truncated
-        ["sweep", "--config", str(cfg), *world, "--param", "ct",
-         "--grid", "1.5,1"],
         ["cluster-eval", "--config", str(eval_cfg), "--grid", "2.5"],
         # malformed numbers are refused, not raised as a ValueError
         ["sweep", "--config", str(cfg), *world, "--param", "epsilon",

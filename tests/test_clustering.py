@@ -1,14 +1,15 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from situbandit import clustering
+from situbandit import clustering, simindex
 from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
 from situbandit.clustering import (ClusteringConfig, cluster_situations,
-                                   kmedoids, should_recluster)
+                                   kmedoids)
 from situbandit.errors import TooFewCases
 from situbandit.ontology import Dimension
 from situbandit.simdata import balanced_taxonomy
@@ -38,21 +39,11 @@ def objective(sim, labels, medoids):
     return float(sim[np.arange(len(labels)), medoids[labels]].sum())
 
 
-def test_should_recluster_schedule():
-    assert not should_recluster(0, 40)
-    assert not should_recluster(39, 40)
-    assert should_recluster(40, 40)
-    assert should_recluster(80, 40)
-    assert not should_recluster(41, 40)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ClusteringConfig(num_clusters=0)
     with pytest.raises(ValueError):
         ClusteringConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        ClusteringConfig(recluster_period=0)
 
 
 def test_too_few_cases():
@@ -124,15 +115,18 @@ def test_cluster_situations_roundtrip(tiny_taxonomies):
             s = Situation(f"{lp}{rng.integers(1, 3)}",
                           f"{tp}{rng.integers(1, 3)}",
                           f"{sp}{rng.integers(1, 3)}")
-            cb.update_preferences(s, cb.retrieve(s), UserPreferences(
+            cb.update_preferences(s, UserPreferences(
                 {"d": DocumentStats("d", clicks=1, impressions=1)}))
-    cluster_situations(cb, ClusteringConfig(num_clusters=2, seed=0))
-    assert cb.num_clusters == 2
+    before = cb.to_snapshot()
+    result = cluster_situations(cb, ClusteringConfig(num_clusters=2, seed=0))
+    assert len(result.medoids) == 2
+    assert len(result.labels) == len(cb)
+    assert cb.to_snapshot() == before  # the case base is left as it was
     # the two corners separate perfectly
     corner = ["a" if c.situation.location.startswith("La") else "b"
               for c in cb.cases]
     by_label = {}
-    for lab, c in zip(cb.cluster_of, corner):
+    for lab, c in zip(result.labels, corner):
         by_label.setdefault(lab, set()).add(c)
     assert all(len(v) == 1 for v in by_label.values())
 
@@ -143,7 +137,7 @@ def test_similarity_matrix_matches_scalar_path(tiny_taxonomies):
     sits = [Situation("La1", "Ta2", "Sb1"), Situation("Lb2", "Tb1", "Sa2"),
             Situation("Lroot", "Troot", "Sroot")]
     for s in sits:
-        cb.update_preferences(s, None, UserPreferences(
+        cb.update_preferences(s, UserPreferences(
             {"d": DocumentStats("d", clicks=1, impressions=1)}))
     enc = cb.encoded
     mat = cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
@@ -155,8 +149,8 @@ def test_similarity_matrix_matches_scalar_path(tiny_taxonomies):
                 abs=1e-12)
 
 
-# -- oracles: the column-scan swap refinement and np.ix_ similarity build
-# that the blocked row-scan and gather-add forms replaced
+# -- oracles: the column-scan swap refinement, and the np.ix_ and
+# whole-matrix gather-add similarity builds, that the blocked forms replaced
 
 
 def oracle_swap_refine(sim, medoids, passes):
@@ -196,6 +190,14 @@ def oracle_pairwise_weighted(index, loc, tim, soc, alpha):
     return (alpha[0] * m0[np.ix_(loc, loc)]
             + alpha[1] * m1[np.ix_(tim, tim)]
             + alpha[2] * m2[np.ix_(soc, soc)])
+
+
+def oracle_gather_add(index, loc, tim, soc, alpha):
+    m0, m1, m2 = (a * m for a, m in zip(alpha, index.matrices))
+    out = m0.take(loc, 0).take(loc, 1)
+    out += m1.take(tim, 0).take(tim, 1)
+    out += m2.take(soc, 0).take(soc, 1)
+    return out
 
 
 def quantized_sim_matrix(rng, n, levels, duplicates):
@@ -280,12 +282,29 @@ alphas = st.one_of(
         alpha_after))
 
 
-@given(st.integers(1, 80), st.integers(0, 2 ** 32 - 1), alphas)
+@given(st.integers(1, 80), st.integers(0, 2 ** 32 - 1), alphas,
+       st.sampled_from([1, 7, 64, simindex.PAIRWISE_BLOCK_ROWS]))
 def test_pairwise_weighted_is_symmetric_and_matches_ix_oracle(n, seed,
-                                                             alpha):
+                                                             alpha, block):
     rng = np.random.default_rng(seed)
     loc, tim, soc = (rng.integers(len(m), size=n) for m in SIM_INDEX.matrices)
-    sim = SIM_INDEX.pairwise_weighted(loc, tim, soc, alpha)
+    with mock.patch.object(simindex, "PAIRWISE_BLOCK_ROWS", block):
+        sim = SIM_INDEX.pairwise_weighted(loc, tim, soc, alpha)
     assert sim.tobytes() == sim.T.copy().tobytes()
     assert sim.tobytes() == oracle_pairwise_weighted(
         SIM_INDEX, loc, tim, soc, alpha).tobytes()
+    assert np.array_equal(sim, oracle_gather_add(SIM_INDEX, loc, tim, soc,
+                                                 alpha))
+
+
+def test_pairwise_weighted_holds_one_n_by_n_array():
+    n = 1000
+    rng = np.random.default_rng(0)
+    loc, tim, soc = (rng.integers(len(m), size=n) for m in SIM_INDEX.matrices)
+    tracemalloc.start()
+    try:
+        sim = SIM_INDEX.pairwise_weighted(loc, tim, soc, (0.2, 0.3, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.nbytes <= peak < 1.5 * sim.nbytes

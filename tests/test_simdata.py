@@ -166,12 +166,12 @@ def test_report_tsv(world, tmp_path):
 
 
 def test_build_policy_names(world):
-    for name in ("clustering-eps-greedy", "context-eps-greedy", "eps-greedy",
-                 "random", "oracle"):
+    for name in ("clustering-eps-greedy", "eps-greedy", "random", "oracle"):
         pol = build_policy(name, world, seed=7)
         assert len(pol.recommend(world.situations[0]).slate) == 10
-    with pytest.raises(UnknownPolicy):
-        build_policy("ucb", world)
+    for name in ("ucb", "context-eps-greedy"):
+        with pytest.raises(UnknownPolicy):
+            build_policy(name, world)
 
 
 def test_clustering_precision_cases():
