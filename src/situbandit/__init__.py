@@ -17,8 +17,6 @@ from .simdata import (EvalReport, OraclePolicy, RandomPolicy, SyntheticWorld,
                       export_diary, generate_world, load_world,
                       replay_evaluate, save_world)
 from .simindex import SituationIndex
-from .situation import (DimensionWeights, Situation, Taxonomies,
-                        sim_per_dimension, unweighted_similarity,
-                        weighted_similarity)
+from .situation import DimensionWeights, Situation, Taxonomies
 
 __version__ = "0.1.0"

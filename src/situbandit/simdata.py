@@ -110,16 +110,6 @@ class SyntheticWorld:
         except KeyError:
             raise LabelMismatch(f"situation {s} is not part of this world")
 
-    def affinity_of(self, s: Situation, doc_id: str) -> float:
-        if doc_id not in self._doc_idx:
-            raise UnknownDoc(doc_id)
-        return float(self.affinity[self.group_of_situation(s),
-                                   self._doc_idx[doc_id]])
-
-    def sample_click(self, s: Situation, doc_id: str,
-                     rng: np.random.Generator) -> int:
-        return int(rng.random() < self.affinity_of(s, doc_id))
-
     def feedback_source(self, rng: np.random.Generator) -> FeedbackSource:
         """Click feedback for a slate plus organic (non-recommended) visits.
 
@@ -127,37 +117,58 @@ class SyntheticWorld:
         the group affinity. The user additionally browses a few documents
         on their own, biased toward the group's preferred set; organically
         clicked documents enter the feedback with zero impressions.
+
+        Stream contract: each call first draws two doubles per slate
+        document, in slate order (the click test, then the reading time,
+        which is drawn whether or not the document was clicked), in one
+        `rng.random` call. Each of the `organic_browse` visits then draws,
+        one scalar call at a time, the preferred-set test double, one
+        `rng.integers` document pick and, unless the document is already
+        in the feedback, the click test double, followed on a click by the
+        reading-time double. A reading time is `0.5 + 4.5 * u`, which is
+        `rng.uniform(0.5, 5.0)` bit for bit. A slate document that is not
+        in the world raises `UnknownDoc` before anything is drawn.
         """
-        cfg = self.config
-        n_docs = len(self.doc_ids)
+        affinity = self.affinity
+        doc_ids = self.doc_ids
+        doc_idx = self._doc_idx
+        preferred = self.preferred
+        n_docs = len(doc_ids)
+        visits = range(self.config.organic_browse)
+        good_bias = self.config.organic_good_bias
+        random = rng.random
+        integers = rng.integers
 
         def source(s: Situation, slate: List[str]
                    ) -> Tuple[UserPreferences, Dict[str, int]]:
             group = self.group_of_situation(s)
-            row = self.affinity[group]
+            row = affinity[group]
+            try:
+                idx = [doc_idx[doc_id] for doc_id in slate]
+            except KeyError as e:
+                raise UnknownDoc(e.args[0]) from None
+            u = random(2 * len(slate)).tolist()
             docs: Dict[str, DocumentStats] = {}
             slate_clicks: Dict[str, int] = {}
-            for doc_id in slate:
-                p = row[self._doc_idx[doc_id]]
-                click = int(rng.random() < p)
-                docs[doc_id] = DocumentStats(
-                    doc_id, clicks=click, impressions=1,
-                    reading_time=click * float(rng.uniform(0.5, 5.0)))
+            for doc_id, di, u_click, u_read in zip(slate, idx, u[0::2],
+                                                   u[1::2]):
+                click = int(u_click < row[di])
+                docs[doc_id] = DocumentStats(doc_id, click, 1,
+                                             click * (0.5 + 4.5 * u_read))
                 if click:
                     slate_clicks[doc_id] = click
-            for _ in range(cfg.organic_browse):
-                if rng.random() < cfg.organic_good_bias:
-                    di = self.preferred[group][
-                        int(rng.integers(len(self.preferred[group])))]
+            mine = preferred[group]
+            for _ in visits:
+                if random() < good_bias:
+                    di = mine[int(integers(len(mine)))]
                 else:
-                    di = int(rng.integers(n_docs))
-                doc_id = self.doc_ids[di]
+                    di = int(integers(n_docs))
+                doc_id = doc_ids[di]
                 if doc_id in docs:
                     continue
-                if rng.random() < row[di]:
-                    docs[doc_id] = DocumentStats(
-                        doc_id, clicks=1, impressions=0,
-                        reading_time=float(rng.uniform(0.5, 5.0)))
+                if random() < row[di]:
+                    docs[doc_id] = DocumentStats(doc_id, 1, 0,
+                                                 0.5 + 4.5 * random())
             return UserPreferences(docs), slate_clicks
 
         return source

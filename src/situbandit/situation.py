@@ -9,11 +9,12 @@ running mean of the per-dimension similarities of past retrievals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import ConfigError
-from .ontology import DIMENSIONS, Taxonomy, wu_palmer
+from .errors import ConfigError, ParseError
+from .ontology import DIMENSIONS, Taxonomy
 
 #: Tolerance for the exact-match test sim == 3.
 EXACT_MATCH_TOL = 1e-9
@@ -52,15 +53,6 @@ class Taxonomies:
             tax.check(cid)
 
 
-def sim_per_dimension(s1: Situation, s2: Situation,
-                      taxonomies: Taxonomies) -> Tuple[float, float, float]:
-    """Per-dimension Wu-Palmer similarities (location, time, social)."""
-    return tuple(
-        wu_palmer(tax, a, b)
-        for tax, a, b in zip(taxonomies.as_tuple(), s1.as_tuple(), s2.as_tuple())
-    )
-
-
 @dataclass
 class DimensionWeights:
     """Per-dimension weights alpha, maintained as the running arithmetic
@@ -92,20 +84,26 @@ class DimensionWeights:
 
     @classmethod
     def from_snapshot(cls, doc: dict) -> "DimensionWeights":
-        return cls(sums=tuple(doc["sums"]), count=doc["count"])
-
-
-def weighted_similarity(s1: Situation, s2: Situation, w: DimensionWeights,
-                        taxonomies: Taxonomies) -> float:
-    """Sum of alpha_j * sim_j over the three dimensions."""
-    sims = sim_per_dimension(s1, s2, taxonomies)
-    return sum(a * s for a, s in zip(w.alpha, sims))
-
-
-def unweighted_similarity(s1: Situation, s2: Situation,
-                          taxonomies: Taxonomies) -> float:
-    """Plain sum of per-dimension similarities, in (0, 3]."""
-    return sum(sim_per_dimension(s1, s2, taxonomies))
+        """Rebuild weights from `to_snapshot` output. The sums are 0 before
+        any observation; after one, every sum must be finite and > 0, as
+        Wu-Palmer similarities are: an exact case is the unique argmax of a
+        weighted scan only while every alpha is > 0."""
+        sums, count = doc["sums"], doc["count"]
+        if isinstance(count, bool) or not isinstance(count, int) \
+                or count < 0:
+            raise ParseError(f"weights count {count!r} is not a "
+                             f"non-negative integer")
+        if not isinstance(sums, list) or len(sums) != 3 or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in sums):
+            raise ParseError(f"weights sums {sums!r} are not three numbers")
+        if count and not all(0.0 < x < math.inf for x in sums):
+            raise ParseError(f"weights sums {sums!r} must be finite and "
+                             f"> 0 after {count} observations")
+        if not count and any(x != 0 for x in sums):
+            raise ParseError(f"weights sums {sums!r} must be 0 before any "
+                             f"observation")
+        return cls(sums=tuple(sums), count=count)
 
 
 # perfbench reads this to count exact hits

@@ -7,9 +7,10 @@ from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
 from situbandit.errors import ParseError
 from situbandit.ontology import Dimension
 from situbandit.simindex import SituationIndex
-from situbandit.situation import Situation, Taxonomies, sim_per_dimension
+from situbandit.situation import Situation, Taxonomies
 
 from conftest import two_level
+from oracles import sim_per_dimension
 
 
 def prefs(**clicks):
@@ -149,6 +150,30 @@ def test_snapshot_listing_a_situation_twice_is_refused(corner_cb,
                                                       tiny_taxonomies):
     doc = corner_cb.to_snapshot()
     doc["cases"].append(doc["cases"][2])
+    with pytest.raises(ParseError):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+@pytest.mark.parametrize("weights", [
+    # a zero alpha: the exact hit (La1,Ta1,Sa1) would no longer be the
+    # weighted scan's argmax, which is (La2,Ta1,Sa1)
+    {"sums": [0, 1, 1], "count": 1},
+    {"sums": [float("nan"), 1, 1], "count": 1},
+    {"sums": [1, float("inf"), 1], "count": 1},
+    {"sums": [1, 1, -0.5], "count": 2},
+    {"sums": [1, 1, 1], "count": -1},
+    {"sums": [1, 1, 1], "count": 1.0},
+    {"sums": [1, 1], "count": 1},
+    {"sums": [1, 1, 1, 1], "count": 1},
+    {"sums": ["1", 1, 1], "count": 1},
+    {"sums": [float("nan"), 0, 0], "count": 0},
+])
+def test_snapshot_with_bad_weights_is_refused(tiny_taxonomies, weights):
+    cb = CaseBase(tiny_taxonomies)
+    for s in (Situation("La2", "Ta1", "Sa1"), Situation("La1", "Ta1", "Sa1")):
+        cb.update_preferences(s, prefs(d1=1))
+    doc = cb.to_snapshot()
+    doc["weights"] = weights
     with pytest.raises(ParseError):
         CaseBase.from_snapshot(doc, tiny_taxonomies)
 

@@ -133,7 +133,7 @@ def test_cluster_situations_roundtrip(tiny_taxonomies):
 
 def test_similarity_matrix_matches_scalar_path(tiny_taxonomies):
     cb = CaseBase(tiny_taxonomies)
-    from situbandit.situation import weighted_similarity
+    from oracles import weighted_similarity
     sits = [Situation("La1", "Ta2", "Sb1"), Situation("Lb2", "Tb1", "Sa2"),
             Situation("Lroot", "Troot", "Sroot")]
     for s in sits:

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from situbandit.bandit import BanditConfig
+from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.errors import (ConfigError, ExhaustedPool, LabelMismatch,
                                UnknownDoc, UnknownPolicy)
 from situbandit.ontology import Dimension
@@ -10,7 +14,9 @@ from situbandit.simdata import (OraclePolicy, RandomPolicy, WorldConfig,
                                 clustering_precision, export_diary,
                                 generate_world, load_world, replay_evaluate,
                                 save_world)
-from situbandit.situation import Situation, unweighted_similarity
+from situbandit.situation import Situation
+
+from oracles import unweighted_similarity
 
 
 SMALL = WorldConfig(groups=4, situations_per_group=10, docs=30,
@@ -18,9 +24,12 @@ SMALL = WorldConfig(groups=4, situations_per_group=10, docs=30,
                     occurrences_per_situation=20, max_prototype_sim=2.2)
 
 
+SMALL_WORLD = generate_world(SMALL, seed=1)
+
+
 @pytest.fixture(scope="module")
 def world():
-    return generate_world(SMALL, seed=1)
+    return SMALL_WORLD
 
 
 def test_config_validation():
@@ -81,8 +90,9 @@ def test_group_lookup_and_errors(world):
     assert world.group_of_situation(world.situations[0]) == 0
     with pytest.raises(LabelMismatch):
         world.group_of_situation(Situation("L", "T", "S"))
+    source = world.feedback_source(np.random.default_rng(0))
     with pytest.raises(UnknownDoc):
-        world.affinity_of(world.situations[0], "nope")
+        source(world.situations[0], [world.doc_ids[0], "nope"])
 
 
 def test_generation_is_deterministic():
@@ -107,6 +117,82 @@ def test_feedback_source_semantics(world):
     organic = [d for d in fb.docs if d not in slate]
     for d in organic:
         assert fb.docs[d].impressions == 0 and fb.docs[d].clicks == 1
+
+
+def oracle_feedback_source(world, rng):
+    """The scalar feedback closure, one RNG call per draw: the reference
+    whose draws `SyntheticWorld.feedback_source` must reproduce."""
+    cfg = world.config
+    n_docs = len(world.doc_ids)
+
+    def source(s, slate):
+        group = world.group_of_situation(s)
+        row = world.affinity[group]
+        docs = {}
+        slate_clicks = {}
+        for doc_id in slate:
+            p = row[world._doc_idx[doc_id]]
+            click = int(rng.random() < p)
+            docs[doc_id] = DocumentStats(
+                doc_id, clicks=click, impressions=1,
+                reading_time=click * float(rng.uniform(0.5, 5.0)))
+            if click:
+                slate_clicks[doc_id] = click
+        for _ in range(cfg.organic_browse):
+            if rng.random() < cfg.organic_good_bias:
+                di = world.preferred[group][
+                    int(rng.integers(len(world.preferred[group])))]
+            else:
+                di = int(rng.integers(n_docs))
+            doc_id = world.doc_ids[di]
+            if doc_id in docs:
+                continue
+            if rng.random() < row[di]:
+                docs[doc_id] = DocumentStats(
+                    doc_id, clicks=1, impressions=0,
+                    reading_time=float(rng.uniform(0.5, 5.0)))
+        return UserPreferences(docs), slate_clicks
+
+    return source
+
+
+SMALL_DOCS = SMALL_WORLD.doc_ids
+slates = st.one_of(
+    st.just([]),
+    st.sampled_from(SMALL_DOCS).map(lambda d: [d]),
+    st.just(SMALL_DOCS),
+    st.permutations(SMALL_DOCS),
+    st.lists(st.sampled_from(SMALL_DOCS), unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, len(SMALL_WORLD.situations) - 1),
+                          slates),
+                min_size=1, max_size=20))
+def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls):
+    world = dataclasses.replace(world, config=dataclasses.replace(
+        world.config, organic_browse=browse, organic_good_bias=bias))
+    rng_want = np.random.default_rng(seed)
+    rng_got = np.random.default_rng(seed)
+    want_source = oracle_feedback_source(world, rng_want)
+    got_source = world.feedback_source(rng_got)
+    for si, slate in calls:
+        s = world.situations[si]
+        want, want_clicks = want_source(s, slate)
+        got, got_clicks = got_source(s, slate)
+        assert list(got.docs) == list(want.docs)
+        for d, w in want.docs.items():
+            g = got.docs[d]
+            assert (g.doc_id, g.clicks, g.impressions) == \
+                (w.doc_id, w.clicks, w.impressions)
+            assert type(g.reading_time) is float
+            assert np.float64(g.reading_time).tobytes() == \
+                np.float64(w.reading_time).tobytes()
+        assert got_clicks == want_clicks
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_replay_basic_accounting(world):

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from situbandit.errors import UnknownConcept
 from situbandit.ontology import Dimension
 from situbandit.situation import (DimensionWeights, Situation, Taxonomies,
-                                  is_exact_match, sim_per_dimension,
-                                  unweighted_similarity, weighted_similarity)
+                                  is_exact_match)
 
 from conftest import chain, two_level
+from oracles import (sim_per_dimension, unweighted_similarity,
+                     weighted_similarity)
 
 
 def fixed_weights(alpha):
@@ -177,7 +178,14 @@ def test_alpha_is_exact_running_mean(obs):
     assert len(snap["sums"]) == 3  # no per-trial state
 
 
-@given(observations, st.data())
+# Wu-Palmer similarities are > 0, and a snapshot whose sums are not is
+# refused on load.
+positive_observations = st.lists(
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0, exclude_min=True)] * 3),
+    max_size=60)
+
+
+@given(positive_observations, st.data())
 def test_snapshot_resume_matches_uninterrupted(obs, data):
     k = data.draw(st.integers(0, len(obs)))
     straight = DimensionWeights()
