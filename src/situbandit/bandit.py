@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral, Real
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -40,6 +41,14 @@ class BanditConfig:
     cold_start_fallback: bool = True
 
     def __post_init__(self):
+        for name in ("epsilon", "threshold_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if isinstance(self.slate_size, bool) \
+                or not isinstance(self.slate_size, Integral):
+            raise ValueError(f"slate_size must be an integer, got "
+                             f"{self.slate_size!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.slate_size < 1:

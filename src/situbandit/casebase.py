@@ -28,24 +28,20 @@ from .situation import DimensionWeights, Situation, Taxonomies
 
 @dataclass
 class DocumentStats:
-    """Engagement counters for one document in one situation's preferences."""
+    """Click and impression counters for one document in one situation's
+    preferences."""
 
     doc_id: str
     clicks: int = 0
     impressions: int = 0
-    reading_time: float = 0.0
-    rating: int = 0
 
     def merge(self, other: "DocumentStats") -> None:
-        """Additive merge for counters; the newer rating wins."""
+        """Add the other document's counters to these."""
         self.clicks += other.clicks
         self.impressions += other.impressions
-        self.reading_time += other.reading_time
-        self.rating = other.rating
 
     def copy(self) -> "DocumentStats":
-        return DocumentStats(self.doc_id, self.clicks, self.impressions,
-                             self.reading_time, self.rating)
+        return DocumentStats(self.doc_id, self.clicks, self.impressions)
 
     @property
     def ctr(self) -> float:
@@ -134,6 +130,34 @@ class RetrievalResult:
         return sum(self.per_dim_sims)
 
 
+def _field(doc, key: str, kind: type, what: str):
+    """`doc[key]` of a snapshot mapping, which must be exactly a `kind`."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"{what} has no {key!r} entry")
+    if type(doc[key]) is not kind:
+        raise ParseError(f"{what} {key} {doc[key]!r} is not of type "
+                         f"{kind.__name__}")
+    return doc[key]
+
+
+def _situation(value) -> Situation:
+    if not isinstance(value, list) or len(value) != 3 \
+            or not all(type(c) is str for c in value):
+        raise ParseError(f"snapshot situation {value!r} is not three "
+                         f"concept ids")
+    return Situation(*value)
+
+
+def _document(doc) -> DocumentStats:
+    stats = DocumentStats(_field(doc, "doc_id", str, "snapshot doc"),
+                          _field(doc, "clicks", int, "snapshot doc"),
+                          _field(doc, "impressions", int, "snapshot doc"))
+    if stats.clicks < 0 or stats.impressions < 0:
+        raise ParseError(f"snapshot doc {stats.doc_id!r} has a negative "
+                         f"count")
+    return stats
+
+
 class CaseBase:
     """All cases plus their situation index, HLCS set and weights.
 
@@ -213,14 +237,9 @@ class CaseBase:
                 {
                     "situation": list(c.situation.as_tuple()),
                     "docs": [
-                        {
-                            "doc_id": s.doc_id,
-                            "clicks": s.clicks,
-                            "impressions": s.impressions,
-                            "reading_time": s.reading_time,
-                            "rating": s.rating,
-                        }
-                        for s in (c.prefs.docs[d] for d in sorted(c.prefs.docs))
+                        {"doc_id": s.doc_id, "clicks": s.clicks,
+                         "impressions": s.impressions}
+                        for _, s in sorted(c.prefs.docs.items())
                     ],
                 }
                 for c in self.cases
@@ -236,25 +255,34 @@ class CaseBase:
     @classmethod
     def from_snapshot(cls, doc: dict, taxonomies: Taxonomies,
                       index: Optional[SituationIndex] = None) -> "CaseBase":
-        """Rebuild a case base from `to_snapshot` output. The `cluster_of`
-        and `medoids` keys of snapshots that still carry a partition are
-        ignored; a snapshot that lists one situation twice is refused."""
-        cb = cls(taxonomies,
-                 weights=DimensionWeights.from_snapshot(doc["weights"]),
-                 index=index)
-        for entry in doc["cases"]:
-            prefs = UserPreferences({
-                d["doc_id"]: DocumentStats(d["doc_id"], d["clicks"],
-                                           d["impressions"],
-                                           d["reading_time"], d["rating"])
-                for d in entry["docs"]
-            })
-            situation = Situation(*entry["situation"])
+        """Rebuild a case base from `to_snapshot` output.
+
+        A snapshot is outside input: a missing key, a malformed situation,
+        document or count, and a situation or doc id listed twice raise
+        ParseError. Keys that older snapshots carry are ignored: a
+        partition's `cluster_of` and `medoids`, and each document's two
+        former fields besides its clicks and impressions.
+        """
+        cb = cls(taxonomies, weights=DimensionWeights.from_snapshot(
+            _field(doc, "weights", dict, "snapshot")), index=index)
+        for entry in _field(doc, "cases", list, "snapshot"):
+            situation = _situation(
+                _field(entry, "situation", list, "snapshot case"))
             if situation in cb.case_of:
                 raise ParseError(f"snapshot lists situation "
                                  f"{situation.as_tuple()} twice")
-            cb._insert(Case(situation, prefs))
-        cb.hlcs = {Situation(*t) for t in doc["hlcs"]}
+            docs: Dict[str, DocumentStats] = {}
+            for d in _field(entry, "docs", list, "snapshot case"):
+                stats = _document(d)
+                if stats.doc_id in docs:
+                    raise ParseError(f"snapshot case {situation.as_tuple()} "
+                                     f"lists doc {stats.doc_id!r} twice")
+                docs[stats.doc_id] = stats
+            cb._insert(Case(situation, UserPreferences(docs)))
+        cb.hlcs = {_situation(t)
+                   for t in _field(doc, "hlcs", list, "snapshot")}
+        for s in cb.hlcs:
+            taxonomies.validate(s)
         return cb
 
     @classmethod

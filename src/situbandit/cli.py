@@ -50,10 +50,9 @@ def _bandit_config(cfg: dict, seed: int) -> BanditConfig:
 def _clustering_config(cfg: dict, seed: int) -> ClusteringConfig:
     try:
         return ClusteringConfig(
-            num_clusters=cfg.get("nc", 10),
-            max_iterations=cfg.get("t_max", 60),
-            seed=seed,
-            refine=cfg.get("refine", True))
+            num_clusters=_config_int(cfg, "nc", 10),
+            max_iterations=_config_int(cfg, "t_max", 60),
+            seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -89,24 +88,26 @@ def _parse_grid(grid: Optional[str], cfg: dict, key: str,
     return values
 
 
-def _integer(name: str, value: float) -> int:
-    """A grid value for an integer parameter; fractions are refused, not
-    truncated."""
-    if not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value:g}")
-    return int(value)
+def _integer(name: str, value) -> int:
+    """An integer parameter from a config value, a grid value or a flag
+    string; fractions are refused, not truncated, and so is anything else
+    that is not an integer."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _seed(value) -> int:
-    """One `--seeds` string or config `seeds` entry; a fractional number is
-    refused, not truncated."""
-    if isinstance(value, float):
-        return _integer("seed", value)
-    return int(value)
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    return _integer(key, cfg.get(key, default))
 
 
 def _seeds(flag: Optional[str], cfg: dict) -> List[int]:
-    seeds = _numbers(_seed, flag, cfg, "seeds", [0])
+    seeds = _numbers(lambda v: _integer("seed", v), flag, cfg, "seeds", [0])
     if not seeds:
         raise ConfigError("empty seed list")
     return seeds
@@ -132,7 +133,7 @@ def cmd_gen_data(config_path, seed, out_dir):
     """Generate a synthetic diary world and its delimited exports."""
     def go():
         cfg = _load_config(config_path)
-        world_seed = seed if seed is not None else cfg.get("seed", 0)
+        world_seed = seed if seed is not None else _config_int(cfg, "seed", 0)
         world = generate_world(_world_config(cfg), world_seed)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -155,13 +156,12 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
     """Replay-evaluate one policy on a generated world."""
     def go():
         cfg = _load_config(config_path)
-        base = seed if seed is not None else cfg.get("seed", 0)
+        base = seed if seed is not None else _config_int(cfg, "seed", 0)
         world = load_world(world_path)
         pol = build_policy(policy, world, _bandit_config(cfg, base))
         report = replay_evaluate(
-            pol, world,
-            iterations=cfg.get("iterations", 10000),
-            report_period=cfg.get("report_period", 1000),
+            pol, world, iterations=_config_int(cfg, "iterations", 10000),
+            report_period=_config_int(cfg, "report_period", 1000),
             seed=base + 10 ** 6, keep_trials=False)
         report.to_tsv(out_path)
         click.echo(f"{policy}: final avg CTR {report.final_avctr:.4f} "
@@ -192,14 +192,15 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
         # every run's config before the first replay
         runs = [(value, s, _bandit_config({**cfg, param: value}, s))
                 for value in values for s in seeds]
+        iterations = _config_int(cfg, "iterations", 10000)
+        report_period = _config_int(cfg, "report_period", 1000)
         world = load_world(world_path)
         lines = ["param\tvalue\tseed\tfinal_avctr"]
         for value, s, bandit_cfg in runs:
             pol = build_policy(policy, world, bandit_cfg)
             report = replay_evaluate(
-                pol, world,
-                iterations=cfg.get("iterations", 10000),
-                report_period=cfg.get("report_period", 1000),
+                pol, world, iterations=iterations,
+                report_period=report_period,
                 seed=s + 10 ** 6, keep_trials=False)
             lines.append(f"{param}\t{value:g}\t{s}\t"
                          f"{report.final_avctr:.6f}")
@@ -218,14 +219,14 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
     """Adaptive epsilon selection over candidate values."""
     def go():
         cfg = _load_config(config_path)
-        base = seed if seed is not None else cfg.get("seed", 0)
+        base = seed if seed is not None else _config_int(cfg, "seed", 0)
         candidates = _numbers(float, None, cfg, "h_epsilon",
                               DEFAULT_H_EPSILON)
         configs = {e: _bandit_config({**cfg, "epsilon": e}, base)
                    for e in candidates}
         world = load_world(world_path)
-        rounds = int(cfg.get("rounds", 200))
-        episode_length = int(cfg.get("episode_length", 50))
+        rounds = _config_int(cfg, "rounds", 200)
+        episode_length = _config_int(cfg, "episode_length", 50)
         engine = build_policy("clustering-eps-greedy", world,
                               _bandit_config(cfg, base))
         rng = np.random.default_rng(base + 10 ** 6)
@@ -276,7 +277,7 @@ def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
                                    preferred_docs_per_group=5)
         # the sample and its similarity matrix do not depend on the seed,
         # which only varies the clustering's initial medoids
-        world = generate_world(sample_cfg, seed=cfg.get("seed", 0))
+        world = generate_world(sample_cfg, seed=_config_int(cfg, "seed", 0))
         enc = np.array([world.index.encode(x) for x in world.situations]).T
         sim = world.index.pairwise_weighted(
             enc[0], enc[1], enc[2], (1.0, 1.0, 1.0))

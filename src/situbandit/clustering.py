@@ -4,8 +4,8 @@ This is the paper's clustering-precision experiment (`situbandit
 cluster-eval`); the recommendation engine does not cluster. Medoids are
 actual situations (symbolic triples admit no mean vector). The core loop
 alternates similarity-maximizing assignment with medoid recomputation,
-with deterministic repair of emptied clusters and an optional greedy
-medoid-swap refinement pass that escapes the local optima a purely random
+with deterministic repair of emptied clusters, followed by greedy
+medoid-swap passes that escape the local optima a purely random
 initialization tends to land in.
 """
 
@@ -30,7 +30,6 @@ class ClusteringConfig:
     num_clusters: int = 10
     max_iterations: int = 60
     seed: int = 0
-    refine: bool = True
 
     def __post_init__(self):
         if self.num_clusters < 1 or self.max_iterations < 1:
@@ -137,7 +136,7 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
                 and np.array_equal(new_labels, labels):
             break
         medoids, labels = new_medoids, new_labels
-    if cfg.refine and _swap_refine(sim, medoids, MAX_SWAP_PASSES):
+    if _swap_refine(sim, medoids, MAX_SWAP_PASSES):
         labels = _assign(sim, medoids)
         _repair_empty(sim, medoids, labels)
         trace.append(_objective(sim, medoids, labels))

@@ -25,12 +25,6 @@ class Dimension(str, Enum):
 DIMENSIONS = (Dimension.LOCATION, Dimension.TIME, Dimension.SOCIAL)
 
 
-@dataclass(frozen=True)
-class Concept:
-    id: str
-    label: str
-
-
 @dataclass
 class Taxonomy:
     """Immutable rooted tree of concepts for one context dimension."""

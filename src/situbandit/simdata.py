@@ -119,15 +119,16 @@ class SyntheticWorld:
         clicked documents enter the feedback with zero impressions.
 
         Stream contract: each call first draws two doubles per slate
-        document, in slate order (the click test, then the reading time,
-        which is drawn whether or not the document was clicked), in one
-        `rng.random` call. Each of the `organic_browse` visits then draws,
+        document, in one `rng.random` call, and reads the click test from
+        the even positions. Each of the `organic_browse` visits then draws,
         one scalar call at a time, the preferred-set test double, one
         `rng.integers` document pick and, unless the document is already
-        in the feedback, the click test double, followed on a click by the
-        reading-time double. A reading time is `0.5 + 4.5 * u`, which is
-        `rng.uniform(0.5, 5.0)` bit for bit. A slate document that is not
-        in the world raises `UnknownDoc` before anything is drawn.
+        in the feedback, the click test double, followed on a click by one
+        more double. The odd slate doubles and the post-click doubles are
+        drawn but unused (they once gave reading times): dropping them
+        would shift every later draw, and so move AVCTR and the acceptance
+        statistics. A slate document that is not in the world raises
+        `UnknownDoc` before anything is drawn.
         """
         affinity = self.affinity
         doc_ids = self.doc_ids
@@ -147,14 +148,12 @@ class SyntheticWorld:
                 idx = [doc_idx[doc_id] for doc_id in slate]
             except KeyError as e:
                 raise UnknownDoc(e.args[0]) from None
-            u = random(2 * len(slate)).tolist()
+            u_click = random(2 * len(slate))[0::2].tolist()
             docs: Dict[str, DocumentStats] = {}
             slate_clicks: Dict[str, int] = {}
-            for doc_id, di, u_click, u_read in zip(slate, idx, u[0::2],
-                                                   u[1::2]):
-                click = int(u_click < row[di])
-                docs[doc_id] = DocumentStats(doc_id, click, 1,
-                                             click * (0.5 + 4.5 * u_read))
+            for doc_id, di, u in zip(slate, idx, u_click):
+                click = int(u < row[di])
+                docs[doc_id] = DocumentStats(doc_id, click, 1)
                 if click:
                     slate_clicks[doc_id] = click
             mine = preferred[group]
@@ -167,8 +166,8 @@ class SyntheticWorld:
                 if doc_id in docs:
                     continue
                 if random() < row[di]:
-                    docs[doc_id] = DocumentStats(doc_id, 1, 0,
-                                                 0.5 + 4.5 * random())
+                    random()  # the unused post-click double
+                    docs[doc_id] = DocumentStats(doc_id, 1, 0)
             return UserPreferences(docs), slate_clicks
 
         return source
@@ -296,7 +295,6 @@ class EvalReport:
     #: (iteration, cumulative average CTR, cumulative branch counts)
     series: List[Tuple[int, float, Dict[str, int]]]
     branch_counts: Dict[str, int]
-    config_echo: dict
     total_clicks: int
     total_displays: int
     trials: List[TrialRecord] = field(default_factory=list, repr=False)
@@ -349,10 +347,6 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
             series.append((i + 1, clicks / displays if displays else 0.0,
                            dict(branch_counts)))
     return EvalReport(series=series, branch_counts=branch_counts,
-                      config_echo={"iterations": iterations,
-                                   "report_period": report_period,
-                                   "seed": seed,
-                                   "world_seed": world.seed},
                       total_clicks=clicks, total_displays=displays,
                       trials=trials)
 

@@ -2,9 +2,9 @@
 
 Precomputes one Wu-Palmer matrix per dimension over the (small) concept
 vocabularies, so the engine and the clusterer can score thousands of
-situations with numpy indexing instead of per-pair tree walks. The scalar
-functions in `situation` remain the reference semantics; tests pin the two
-paths against each other.
+situations with numpy indexing instead of per-pair tree walks. The
+scalar reference semantics live in the test suite (`tests/oracles.py`),
+which pins these lookups against them.
 """
 
 from __future__ import annotations

@@ -88,6 +88,9 @@ class DimensionWeights:
         any observation; after one, every sum must be finite and > 0, as
         Wu-Palmer similarities are: an exact case is the unique argmax of a
         weighted scan only while every alpha is > 0."""
+        if not isinstance(doc, dict) or not {"sums", "count"} <= doc.keys():
+            raise ParseError(f"weights {doc!r} are not a mapping with "
+                             f"'sums' and 'count'")
         sums, count = doc["sums"], doc["count"]
         if isinstance(count, bool) or not isinstance(count, int) \
                 or count < 0:

@@ -37,6 +37,13 @@ def test_config_validation():
         BanditConfig(slate_size=0)
     with pytest.raises(ValueError):
         BanditConfig(threshold_b=3.5)
+    for bad in ({"slate_size": 2.5}, {"slate_size": "3"},
+                {"slate_size": True}, {"epsilon": "abc"},
+                {"epsilon": False}, {"threshold_b": None}):
+        with pytest.raises(ValueError):
+            BanditConfig(**bad)
+    # numpy scalars are numbers too
+    BanditConfig(epsilon=np.float64(0.2), slate_size=np.int64(3))
 
 
 def test_get_ctr():

@@ -1,10 +1,11 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
-from situbandit.errors import ParseError
+from situbandit.errors import ParseError, UnknownConcept
 from situbandit.ontology import Dimension
 from situbandit.simindex import SituationIndex
 from situbandit.situation import Situation, Taxonomies
@@ -19,12 +20,9 @@ def prefs(**clicks):
 
 
 def test_document_stats_merge_semantics():
-    a = DocumentStats("d1", clicks=2, impressions=5, reading_time=1.5,
-                      rating=3)
-    a.merge(DocumentStats("d1", clicks=3, impressions=4, reading_time=0.5,
-                          rating=5))
-    assert (a.clicks, a.impressions, a.reading_time) == (5, 9, 2.0)
-    assert a.rating == 5  # newest rating wins, counters add
+    a = DocumentStats("d1", clicks=2, impressions=5)
+    a.merge(DocumentStats("d1", clicks=3, impressions=4))
+    assert (a.doc_id, a.clicks, a.impressions) == ("d1", 5, 9)
 
 
 def test_preferences_merge_disjoint_and_overlap():
@@ -152,6 +150,109 @@ def test_snapshot_listing_a_situation_twice_is_refused(corner_cb,
     doc["cases"].append(doc["cases"][2])
     with pytest.raises(ParseError):
         CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+DROP = object()
+
+#: Edits that make a snapshot malformed: the path to an entry and its new
+#: value, or DROP to delete it.
+MALFORMED = {
+    "doc-id-twice": (("cases", 0, "docs"), [
+        {"doc_id": "d0", "clicks": 0, "impressions": 1},
+        {"doc_id": "d0", "clicks": 9, "impressions": 9}]),
+    "negative-clicks": (("cases", 0, "docs", 0, "clicks"), -5),
+    "string-clicks": (("cases", 0, "docs", 0, "clicks"), "3"),
+    "float-clicks": (("cases", 0, "docs", 0, "clicks"), 1.0),
+    "bool-clicks": (("cases", 0, "docs", 0, "clicks"), True),
+    "null-impressions": (("cases", 0, "docs", 0, "impressions"), None),
+    "int-doc-id": (("cases", 0, "docs", 0, "doc_id"), 7),
+    "doc-not-a-mapping": (("cases", 0, "docs", 0), "d0"),
+    "docs-not-a-list": (("cases", 0, "docs"), {"d0": 1}),
+    "two-element-situation": (("cases", 0, "situation"), ["La1", "Ta1"]),
+    "unhashable-concept": (("cases", 0, "situation"), ["La1", "Ta1", ["Sa1"]]),
+    "situation-not-a-list": (("cases", 0, "situation"), "La1"),
+    "case-not-a-mapping": (("cases", 0), ["La1", "Ta1", "Sa1"]),
+    "cases-not-a-list": (("cases",), {}),
+    "no-clicks": (("cases", 0, "docs", 0, "clicks"), DROP),
+    "no-impressions": (("cases", 0, "docs", 0, "impressions"), DROP),
+    "no-doc-id": (("cases", 0, "docs", 0, "doc_id"), DROP),
+    "no-docs": (("cases", 0, "docs"), DROP),
+    "no-situation": (("cases", 0, "situation"), DROP),
+    "no-cases": (("cases",), DROP),
+    "no-hlcs": (("hlcs",), DROP),
+    "no-weights": (("weights",), DROP),
+    "no-weights-count": (("weights", "count"), DROP),
+    "weights-not-a-mapping": (("weights",), [0.5, 1.0, 0.25]),
+    "two-element-hlcs": (("hlcs",), [["La1", "Ta1"]]),
+    "null-hlcs-concept": (("hlcs",), [["La1", "Ta1", None]]),
+    "hlcs-entry-not-a-list": (("hlcs",), ["La1"]),
+    "hlcs-not-a-list": (("hlcs",), "La1"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_snapshot_is_refused(corner_cb, tiny_taxonomies, name):
+    corner_cb.mark_hlcs(Situation("La1", "Ta1", "Sa1"))
+    corner_cb.weights.record((0.5, 1.0, 0.25))
+    doc = corner_cb.to_snapshot()
+    (*parents, last), value = MALFORMED[name]
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    if value is DROP:
+        del entry[last]
+    else:
+        entry[last] = value
+    with pytest.raises(ParseError):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+@pytest.mark.parametrize("path", [("cases", 1, "situation"), ("hlcs", 0)])
+def test_snapshot_with_unknown_concept_is_refused(corner_cb, tiny_taxonomies,
+                                                  path):
+    corner_cb.mark_hlcs(Situation("La1", "Ta1", "Sa1"))
+    doc = corner_cb.to_snapshot()
+    entry = doc
+    for key in path:
+        entry = entry[key]
+    entry[2] = "Sx"
+    with pytest.raises(UnknownConcept):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+#: A snapshot in the earlier format, whose docs also carry `reading_time`
+#: and `rating`.
+READING_TIME_SNAPSHOT = """{"cases": [
+ {"docs": [{"clicks": 2, "doc_id": "d1", "impressions": 3, "rating": 3,
+            "reading_time": 5.25},
+           {"clicks": 0, "doc_id": "d2", "impressions": 1, "rating": 0,
+            "reading_time": 0.0}],
+  "situation": ["La1", "Ta1", "Sa1"]},
+ {"docs": [{"clicks": 1, "doc_id": "d3", "impressions": 0, "rating": 5,
+            "reading_time": 2.25}],
+  "situation": ["Lb1", "Tb2", "Sb2"]}],
+ "hlcs": [["La1", "Ta1", "Sa1"]],
+ "weights": {"count": 1, "sums": [0.5, 1.0, 0.25]}}"""
+
+
+def test_snapshot_with_reading_time_and_rating_loads(tiny_taxonomies):
+    cb = CaseBase(tiny_taxonomies)
+    first = Situation("La1", "Ta1", "Sa1")
+    cb.update_preferences(first, UserPreferences({
+        "d1": DocumentStats("d1", 1, 1), "d2": DocumentStats("d2", 0, 1)}))
+    cb.update_preferences(Situation("Lb1", "Tb2", "Sb2"), UserPreferences(
+        {"d3": DocumentStats("d3", 1, 0)}))
+    cb.update_preferences(first, UserPreferences(
+        {"d1": DocumentStats("d1", 1, 2)}))
+    cb.mark_hlcs(first)
+    cb.weights.record((0.5, 1.0, 0.25))
+    back = CaseBase.from_snapshot(json.loads(READING_TIME_SNAPSHOT),
+                                  tiny_taxonomies)
+    assert back.to_snapshot() == cb.to_snapshot()
+    assert back.case_of == cb.case_of
+    assert back.hlcs == cb.hlcs
+    for mine, theirs in zip(cb.cases, back.cases):
+        assert mine.prefs.docs == theirs.prefs.docs
 
 
 @pytest.mark.parametrize("weights", [

@@ -236,3 +236,39 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
         # a clean click error, not an uncaught exception and its traceback
         assert isinstance(res.exception, SystemExit), (args, res.exception)
         assert not (tmp_path / "o.tsv").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "slate_size", 2.5),
+    ("simulate", "slate_size", "3"),
+    ("simulate", "slate_size", True),
+    ("simulate", "epsilon", "abc"),
+    ("simulate", "threshold_b", [2.4]),
+    ("simulate", "iterations", 150.5),
+    ("simulate", "report_period", "fifty"),
+    ("simulate", "seed", 1.5),
+    ("sweep", "iterations", 150.5),
+    ("tune-epsilon", "rounds", "x"),
+    ("tune-epsilon", "episode_length", 2.5),
+    ("tune-epsilon", "slate_size", 2.5),
+    ("cluster-eval", "nc", 2.5),
+    ("cluster-eval", "seed", "s"),
+])
+def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
+                                                       command, key, value):
+    world_path, _ = gen_world(runner, tmp_path)
+    cfg = tmp_path / "typed.yaml"
+    doc = dict(FAST_RUN, h_epsilon=[0.0, 0.5], rounds=2, episode_length=5)
+    doc[key] = value
+    doc["sample_world"] = TINY_WORLD
+    write_config(cfg, doc)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "o.tsv")]
+    if command != "cluster-eval":
+        args += ["--world", str(world_path)]
+    if command == "sweep":
+        args += ["--param", "epsilon", "--grid", "0.1"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert "Error:" in res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert not (tmp_path / "o.tsv").exists()
