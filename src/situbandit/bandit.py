@@ -16,7 +16,7 @@ candidates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral, Real
@@ -80,9 +80,9 @@ class Recommendation:
     retrieval: Optional[RetrievalResult]
 
 
-#: Feedback for a shown slate: (preferences to absorb, clicks per slate doc).
-FeedbackSource = Callable[[Situation, List[str]],
-                          Tuple[UserPreferences, Dict[str, int]]]
+#: Feedback for a shown slate: the preferences to absorb, holding every
+#: slate document with its clicks and one impression.
+FeedbackSource = Callable[[Situation, List[str]], UserPreferences]
 
 
 def random_slate(pool: Sequence[str], n: int,
@@ -94,8 +94,7 @@ def random_slate(pool: Sequence[str], n: int,
 
 def greedy_top_n(candidates: UserPreferences, n: int) -> List[str]:
     """Top-n documents by CTR, ties broken by lowest doc id."""
-    _, keys = candidates.ranking()
-    return [d for _, d in keys[:n]]
+    return [d for _, d in candidates.ranking()[:n]]
 
 
 def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
@@ -104,30 +103,27 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
     document (lowest doc id among ties) with probability 1 - epsilon,
     otherwise explores uniformly among the documents not yet selected.
 
-    Both kinds of pick read the map's maintained ranking, so a pick costs
-    O(n log m) for a slate of n from m candidates instead of O(m).
+    Both kinds of pick read a position in the map's maintained ranking:
+    exploit takes the first untaken position, explore the k-th untaken one
+    with k uniform. A pick costs O(n) for a slate of n instead of O(m) for
+    m candidates.
     """
     if not candidates:
         raise EmptyCandidates("epsilon_greedy needs a non-empty candidate set")
-    ids, keys = candidates.ranking()
+    ranking = candidates.ranking()
     slate: List[str] = []
-    taken = set()
-    top = 0  # every key before `top` is taken
-    for picked in range(min(n, len(ids))):
-        if rng.random() > epsilon:
-            while keys[top][1] in taken:
-                top += 1
-            pick = keys[top][1]
-        else:
-            # the k-th untaken id: shift k past every taken position <= it
-            pos = int(rng.integers(len(ids) - picked))
-            for p in sorted(bisect_left(ids, d) for d in slate):
-                if p > pos:
-                    break
-                pos += 1
-            pick = ids[pos]
-        taken.add(pick)
-        slate.append(pick)
+    taken: List[int] = []  # picked positions in `ranking`, ascending
+    for picked in range(min(n, len(ranking))):
+        pos = 0
+        if rng.random() <= epsilon:
+            pos = int(rng.integers(len(ranking) - picked))
+        # the pos-th untaken position: shift past every taken one <= it
+        for p in taken:
+            if p > pos:
+                break
+            pos += 1
+        insort(taken, pos)
+        slate.append(ranking[pos][1])
     return slate
 
 
@@ -205,9 +201,11 @@ def step(policy, situation: Situation,
     """One trial: ask `policy` for a slate, collect its feedback and let
     the policy absorb it."""
     rec = policy.recommend(situation)
-    feedback, slate_clicks = feedback_source(situation, rec.slate)
+    feedback = feedback_source(situation, rec.slate)
+    docs = feedback.docs
+    clicks = {d: docs[d].clicks for d in rec.slate if docs[d].clicks}
     policy.observe(situation, rec, feedback)
-    return TrialRecord(situation, rec.slate, slate_clicks, rec.branch)
+    return TrialRecord(situation, rec.slate, clicks, rec.branch)
 
 
 @dataclass

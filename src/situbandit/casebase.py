@@ -55,19 +55,19 @@ class DocumentStats:
         return clicks / impressions if clicks < impressions else 1.0
 
 
-#: A map's CTR ranking: its doc ids in sorted order, and its
-#: (-ctr, doc_id) keys in ascending order (best CTR first, lowest doc id
-#: first among equal CTRs).
-Ranking = Tuple[List[str], List[Tuple[float, str]]]
+#: A map's CTR ranking: its (-ctr, doc_id) keys in ascending order (best
+#: CTR first, lowest doc id first among equal CTRs).
+Ranking = List[Tuple[float, str]]
 
 
 class UserPreferences:
     """Map of doc_id -> DocumentStats, with a CTR ranking derived from it.
 
-    `docs` is the only source of truth. The ranking is built on the first
-    call to `ranking()` and `merge` keeps it current from then on, so after
-    the first slate read from a map its `docs` may change only through
-    `merge`. Maps that are only merged from (feedback) never build one.
+    `docs` is the only source of truth. The ranking, one sorted list of
+    `(-ctr, doc_id)` keys, is built on the first call to `ranking()` and
+    `merge` keeps it current from then on, so after the first slate read
+    from a map its `docs` may change only through `merge`. Maps that are
+    only merged from (feedback) never build one.
     """
 
     def __init__(self, docs: Optional[Dict[str, DocumentStats]] = None):
@@ -75,31 +75,27 @@ class UserPreferences:
         self._ranking: Optional[Ranking] = None
 
     def ranking(self) -> Ranking:
-        """The map's CTR ranking; treat both lists as read-only."""
+        """The map's CTR ranking; treat it as read-only."""
         if self._ranking is None:
-            docs = self.docs
-            self._ranking = (sorted(docs),
-                             sorted((-s.ctr, d) for d, s in docs.items()))
+            self._ranking = sorted((-s.ctr, d) for d, s in self.docs.items())
         return self._ranking
 
     def merge(self, other: "UserPreferences") -> None:
         docs = self.docs
-        ranked = self._ranking
+        keys = self._ranking
         for doc_id, stats in other.docs.items():
             mine = docs.get(doc_id)
             if mine is None:
                 mine = docs[doc_id] = stats.copy()
-                if ranked is not None:
-                    insort(ranked[0], doc_id)
-                    insort(ranked[1], (-mine.ctr, doc_id))
-            elif ranked is None:
+                if keys is not None:
+                    insort(keys, (-mine.ctr, doc_id))
+            elif keys is None:
                 mine.merge(stats)
             else:
                 old = -mine.ctr
                 mine.merge(stats)
                 new = -mine.ctr
                 if new != old:
-                    keys = ranked[1]
                     del keys[bisect_left(keys, (old, doc_id))]
                     insort(keys, (new, doc_id))
 

@@ -58,13 +58,10 @@ def _clustering_config(cfg: dict, seed: int) -> ClusteringConfig:
 
 
 def _world_config(cfg: dict, key: str = "world", **extra) -> WorldConfig:
-    merged = dict(cfg.get(key, {}))
-    for k, v in extra.items():
-        merged.setdefault(k, v)
-    for tkey in ("high_affinity", "background_affinity", "foreign_affinity"):
-        if tkey in merged:
-            merged[tkey] = tuple(merged[tkey])
-    return WorldConfig(**merged)
+    merged = cfg.get(key, {})
+    if not isinstance(merged, dict):
+        raise ConfigError(f"{key} must be a mapping, got {merged!r}")
+    return WorldConfig.from_dict({**extra, **merged})
 
 
 def _numbers(kind: type, flag: Optional[str], cfg: dict, key: str,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,8 +25,8 @@ import numpy as np
 from .bandit import (Branch, FeedbackSource, Recommendation, TrialRecord,
                      random_slate, step)
 from .casebase import DocumentStats, UserPreferences
-from .errors import (ConfigError, ExhaustedPool, LabelMismatch, UnknownDoc,
-                     UnknownPolicy)
+from .errors import (ConfigError, ExhaustedPool, LabelMismatch, ParseError,
+                     SitubanditError, UnknownDoc, UnknownPolicy)
 from .ontology import Dimension, Taxonomy, taxonomy_from_dict, taxonomy_to_dict
 from .simindex import SituationIndex
 from .situation import Situation, Taxonomies
@@ -51,12 +52,49 @@ class WorldConfig:
     nav_entries_per_situation: int = 15
 
     def __post_init__(self):
+        # each field takes the kind of its default
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                kind = "a pair of numbers"
+                ok = (isinstance(value, tuple) and len(value) == 2
+                      and all(_is_a(v, Real) for v in value))
+            elif isinstance(f.default, int):
+                kind, ok = "an integer", _is_a(value, Integral)
+            else:
+                kind, ok = "a number", _is_a(value, Real)
+            if not ok:
+                raise ConfigError(f"world config {f.name} must be {kind}, "
+                                  f"got {value!r}")
         if self.groups < 1 or self.situations_per_group < 1 or self.docs < 1:
             raise ConfigError("groups, situations_per_group and docs must be >= 1")
         if self.taxonomy_depth < 2 or self.branching < 2:
             raise ConfigError("need taxonomy_depth >= 2 and branching >= 2")
+        if self.preferred_docs_per_group < 1 or self.organic_browse < 0:
+            raise ConfigError("need preferred_docs_per_group >= 1 and "
+                              "organic_browse >= 0")
         if self.preferred_docs_per_group * self.groups > self.docs:
             raise ConfigError("not enough documents for disjoint preferred sets")
+
+    @classmethod
+    def from_dict(cls, doc) -> "WorldConfig":
+        """The config a mapping of field values describes, such as a config
+        file's `world:` entry or a saved world's `config`; lists stand for
+        pairs. A key that is not a field raises ConfigError, and so does a
+        wrongly typed value."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"world config must be a mapping, got {doc!r}")
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown world config keys: "
+                              f"{', '.join(sorted(map(str, unknown)))}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in doc.items()})
+
+
+def _is_a(value, kind: type) -> bool:
+    """`value` is a `kind` number; bools are not numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 _DIM_ROOTS = {
@@ -114,61 +152,48 @@ class SyntheticWorld:
         """Click feedback for a slate plus organic (non-recommended) visits.
 
         Slate documents get one impression each and a Bernoulli click from
-        the group affinity. The user additionally browses a few documents
-        on their own, biased toward the group's preferred set; organically
-        clicked documents enter the feedback with zero impressions.
+        the group affinity. The user additionally browses `organic_browse`
+        documents on their own, each from the group's preferred set with
+        probability `organic_good_bias`, else from all documents; a visited
+        document not yet in the feedback enters it, with one click and zero
+        impressions, if its click test passes.
 
-        Stream contract: each call first draws two doubles per slate
-        document, in one `rng.random` call, and reads the click test from
-        the even positions. Each of the `organic_browse` visits then draws,
-        one scalar call at a time, the preferred-set test double, one
-        `rng.integers` document pick and, unless the document is already
-        in the feedback, the click test double, followed on a click by one
-        more double. The odd slate doubles and the post-click doubles are
-        drawn but unused (they once gave reading times): dropping them
-        would shift every later draw, and so move AVCTR and the acceptance
-        statistics. A slate document that is not in the world raises
-        `UnknownDoc` before anything is drawn.
+        Each call draws a fixed schedule of four array calls: the slate's
+        click tests `rng.random(len(slate))`, then for the b visits the
+        preferred-set tests `rng.random(b)`, the picks
+        `rng.integers(np.where(good, len(mine), n_docs))` and the click
+        tests `rng.random(b)`. A slate document that is not in the world
+        raises `UnknownDoc` before anything is drawn.
         """
         affinity = self.affinity
         doc_ids = self.doc_ids
         doc_idx = self._doc_idx
         preferred = self.preferred
         n_docs = len(doc_ids)
-        visits = range(self.config.organic_browse)
+        visits = self.config.organic_browse
         good_bias = self.config.organic_good_bias
         random = rng.random
         integers = rng.integers
 
-        def source(s: Situation, slate: List[str]
-                   ) -> Tuple[UserPreferences, Dict[str, int]]:
+        def source(s: Situation, slate: List[str]) -> UserPreferences:
             group = self.group_of_situation(s)
             row = affinity[group]
             try:
                 idx = [doc_idx[doc_id] for doc_id in slate]
             except KeyError as e:
                 raise UnknownDoc(e.args[0]) from None
-            u_click = random(2 * len(slate))[0::2].tolist()
-            docs: Dict[str, DocumentStats] = {}
-            slate_clicks: Dict[str, int] = {}
-            for doc_id, di, u in zip(slate, idx, u_click):
-                click = int(u < row[di])
-                docs[doc_id] = DocumentStats(doc_id, click, 1)
-                if click:
-                    slate_clicks[doc_id] = click
+            clicked = (random(len(slate)) < row[idx]).tolist()
+            docs = {doc_id: DocumentStats(doc_id, int(c), 1)
+                    for doc_id, c in zip(slate, clicked)}
             mine = preferred[group]
-            for _ in visits:
-                if random() < good_bias:
-                    di = mine[int(integers(len(mine)))]
-                else:
-                    di = int(integers(n_docs))
+            good = random(visits) < good_bias
+            picks = integers(np.where(good, len(mine), n_docs)).tolist()
+            for g, k, u in zip(good.tolist(), picks, random(visits).tolist()):
+                di = mine[k] if g else k
                 doc_id = doc_ids[di]
-                if doc_id in docs:
-                    continue
-                if random() < row[di]:
-                    random()  # the unused post-click double
+                if doc_id not in docs and u < row[di]:
                     docs[doc_id] = DocumentStats(doc_id, 1, 0)
-            return UserPreferences(docs), slate_clicks
+            return UserPreferences(docs)
 
         return source
 
@@ -320,6 +345,8 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
     """Offline replay: draw situations from the occurrence multiset, ask the
     policy for a slate, sample clicks, feed them back, and log cumulative
     average CTR every `report_period` iterations."""
+    if report_period < 1:
+        raise ConfigError("report_period must be >= 1")
     if iterations < report_period:
         raise ConfigError("iterations must be >= report_period")
     total_budget = int(world.occurrences.sum())
@@ -467,10 +494,7 @@ def world_to_dict(world: SyntheticWorld) -> dict:
 
 
 def world_from_dict(doc: dict) -> SyntheticWorld:
-    cfg_doc = dict(doc["config"])
-    for key in ("high_affinity", "background_affinity", "foreign_affinity"):
-        cfg_doc[key] = tuple(cfg_doc[key])
-    cfg = WorldConfig(**cfg_doc)
+    cfg = WorldConfig.from_dict(doc["config"])
     taxonomies = Taxonomies(*(
         taxonomy_from_dict(doc["taxonomies"][dim.value], dim)
         for dim in Dimension))
@@ -491,7 +515,16 @@ def save_world(world: SyntheticWorld, path: Union[str, Path]) -> None:
 
 
 def load_world(path: Union[str, Path]) -> SyntheticWorld:
-    return world_from_dict(json.loads(Path(path).read_text()))
+    """The world `save_world` wrote to `path`; a file that is not such a
+    world (bad JSON, a missing entry, a wrongly shaped or typed value)
+    raises ParseError."""
+    text = Path(path).read_text()
+    try:
+        return world_from_dict(json.loads(text))
+    except (KeyError, IndexError, TypeError, ValueError,
+            SitubanditError) as exc:
+        raise ParseError(f"{path} is not a saved world: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
 
 def export_diary(world: SyntheticWorld, situations_path: Union[str, Path],

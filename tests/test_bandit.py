@@ -107,17 +107,12 @@ def oracle_greedy_top_n(candidates, n):
 
 
 def oracle_epsilon_greedy(candidates, n, epsilon, rng):
-    remaining = sorted(candidates.docs)
-    ctr = {d: oracle_ctr(candidates.docs[d]) for d in remaining}
+    remaining = oracle_greedy_top_n(candidates, len(candidates.docs))
     slate = []
     for _ in range(min(n, len(remaining))):
         q = rng.random()
         if q > epsilon:
             pick = 0
-            best = ctr[remaining[0]]
-            for i in range(1, len(remaining)):
-                if ctr[remaining[i]] > best:
-                    best, pick = ctr[remaining[i]], i
         else:
             pick = int(rng.integers(len(remaining)))
         slate.append(remaining.pop(pick))
@@ -172,13 +167,7 @@ def make_engine(tiny_taxonomies, **kw):
 
 
 def feedback_all_clicked(situation, slate):
-    fb = UserPreferences({d: stats(d, 1, 1) for d in slate})
-    return fb, {d: 1 for d in slate}
-
-
-def feedback_none_clicked(situation, slate):
-    fb = UserPreferences({d: stats(d, 0, 1) for d in slate})
-    return fb, {d: 0 for d in slate}
+    return UserPreferences({d: stats(d, 1, 1) for d in slate})
 
 
 def test_engine_cold_start_on_empty_base(tiny_taxonomies, base_situation):

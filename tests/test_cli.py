@@ -246,6 +246,7 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
     ("simulate", "threshold_b", [2.4]),
     ("simulate", "iterations", 150.5),
     ("simulate", "report_period", "fifty"),
+    ("simulate", "report_period", 0),
     ("simulate", "seed", 1.5),
     ("sweep", "iterations", 150.5),
     ("tune-epsilon", "rounds", "x"),
@@ -272,3 +273,49 @@ def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
     assert "Error:" in res.output
     assert isinstance(res.exception, SystemExit), res.exception
     assert not (tmp_path / "o.tsv").exists()
+
+
+@pytest.mark.parametrize("command, key, entry", [
+    ("gen-data", "world", {"colour": "red"}),
+    ("gen-data", "world", {"groups": "3"}),
+    ("gen-data", "world", {"high_affinity": 0.5}),
+    ("gen-data", "world", {"organic_good_bias": [0.4]}),
+    ("gen-data", "world", {"preferred_docs_per_group": 0}),
+    ("gen-data", "world", {"organic_browse": -1}),
+    ("gen-data", "world", ["groups", 3]),
+    ("cluster-eval", "sample_world", {"colour": "red"}),
+    ("cluster-eval", "sample_world", {"docs": 30.5}),
+])
+def test_bad_world_config_is_a_clean_error(runner, tmp_path, command, key,
+                                           entry):
+    cfg = tmp_path / "world.yaml"
+    doc = {"nc": 3}
+    doc[key] = dict(TINY_WORLD, **entry) if isinstance(entry, dict) else entry
+    write_config(cfg, doc)
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "cluster-eval":
+        args += ["--grid", "1"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert "Error:" in res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"config": {}}',
+    "not json",
+    "[]",
+    '{"config": {"colour": "red"}}',
+])
+def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
+    world_path = tmp_path / "world.json"
+    world_path.write_text(text)
+    out = tmp_path / "o.tsv"
+    res = runner.invoke(main, ["simulate", "--world", str(world_path),
+                               "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "Error:" in res.output and "is not a saved world" in res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert not out.exists()

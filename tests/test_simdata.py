@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ def test_config_validation():
         WorldConfig(taxonomy_depth=1)
     with pytest.raises(ConfigError):
         WorldConfig(groups=5, preferred_docs_per_group=10, docs=40)
+    for bad in ({"preferred_docs_per_group": 0}, {"organic_browse": -1},
+                {"groups": "3"}, {"situations_per_group": 30.0},
+                {"situations_per_group": True},
+                {"organic_good_bias": "high"}, {"high_affinity": (0.5,)},
+                {"foreign_affinity": [0.001, 0.01]}):
+        with pytest.raises(ConfigError):
+            WorldConfig(**bad)
+    # a mapping from a config file or world.json: lists stand for pairs,
+    # and a key that is not a field is refused
+    assert WorldConfig.from_dict({"high_affinity": [0.6, 0.8]}) == \
+        WorldConfig(high_affinity=(0.6, 0.8))
+    for bad in ({"colour": "red"}, ["groups"]):
+        with pytest.raises(ConfigError):
+            WorldConfig.from_dict(bad)
 
 
 def test_balanced_taxonomy_shape():
@@ -109,48 +125,42 @@ def test_feedback_source_semantics(world):
     source = world.feedback_source(rng)
     s = world.situations[0]
     slate = world.doc_ids[:5]
-    fb, slate_clicks = source(s, slate)
+    fb = source(s, slate)
     for d in slate:
-        assert fb.docs[d].impressions == 1
-    for d, c in slate_clicks.items():
-        assert d in slate and c == 1 and fb.docs[d].clicks == 1
+        assert fb.docs[d].impressions == 1 and fb.docs[d].clicks in (0, 1)
     organic = [d for d in fb.docs if d not in slate]
     for d in organic:
         assert fb.docs[d].impressions == 0 and fb.docs[d].clicks == 1
 
 
 def oracle_feedback_source(world, rng):
-    """The scalar feedback closure, one RNG call per draw: the reference
-    whose draws `SyntheticWorld.feedback_source` must reproduce. The
-    unused doubles were reading times, `rng.uniform(0.5, 5.0)`."""
+    """The feedback closure with the visit rules in plain Python: it draws
+    the same four arrays with the same calls, then reads them one slate
+    document and one visit at a time."""
     cfg = world.config
+    b = cfg.organic_browse
     n_docs = len(world.doc_ids)
 
     def source(s, slate):
         group = world.group_of_situation(s)
         row = world.affinity[group]
+        mine = world.preferred[group]
+        u_slate = rng.random(len(slate))
+        good = rng.random(b) < cfg.organic_good_bias
+        picks = rng.integers(np.where(good, len(mine), n_docs))
+        u_visit = rng.random(b)
         docs = {}
-        slate_clicks = {}
-        for doc_id in slate:
-            p = row[world._doc_idx[doc_id]]
-            click = int(rng.random() < p)
-            rng.uniform(0.5, 5.0)  # drawn, with or without a click; unused
+        for doc_id, u in zip(slate, u_slate):
+            click = int(u < row[world._doc_idx[doc_id]])
             docs[doc_id] = DocumentStats(doc_id, clicks=click, impressions=1)
-            if click:
-                slate_clicks[doc_id] = click
-        for _ in range(cfg.organic_browse):
-            if rng.random() < cfg.organic_good_bias:
-                di = world.preferred[group][
-                    int(rng.integers(len(world.preferred[group])))]
-            else:
-                di = int(rng.integers(n_docs))
+        for v in range(b):
+            di = mine[int(picks[v])] if good[v] else int(picks[v])
             doc_id = world.doc_ids[di]
-            if doc_id in docs:
-                continue
-            if rng.random() < row[di]:
-                rng.uniform(0.5, 5.0)  # drawn after a click; unused
+            # every visit has its click test; one for a document already
+            # in the feedback is drawn but changes nothing
+            if doc_id not in docs and u_visit[v] < row[di]:
                 docs[doc_id] = DocumentStats(doc_id, clicks=1, impressions=0)
-        return UserPreferences(docs), slate_clicks
+        return UserPreferences(docs)
 
     return source
 
@@ -180,15 +190,14 @@ def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls):
     got_source = world.feedback_source(rng_got)
     for si, slate in calls:
         s = world.situations[si]
-        want, want_clicks = want_source(s, slate)
-        got, got_clicks = got_source(s, slate)
+        want = want_source(s, slate)
+        got = got_source(s, slate)
         assert list(got.docs) == list(want.docs)
         for d, w in want.docs.items():
             g = got.docs[d]
             assert (g.doc_id, g.clicks, g.impressions) == \
                 (w.doc_id, w.clicks, w.impressions)
-        assert got_clicks == want_clicks
-        # also pins the unused doubles: a call that skips one ends elsewhere
+        # also pins the draw count: a call that skips a draw ends elsewhere
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
@@ -218,10 +227,40 @@ def test_replay_is_deterministic(world):
     assert [t.shown for t in a.trials] == [t.shown for t in b.trials]
 
 
+# The replay streams these runs produce: SHA-256 of the (situation, slate,
+# clicks, branch) stream and the final average CTR.
+GOLDEN_STREAMS = {
+    "clustering-eps-greedy": (
+        "58c8b525090e28779dacad4fc9ac5f1f6e5eb9b90467f52e4428d9b51d09b0c3",
+        0.2115),
+    "eps-greedy": (
+        "b7c33ad4eaea000d1f2c04ec101ae921335459cabebc2ab1802fe43b1d418192",
+        0.172375),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_STREAMS))
+def test_golden_stream(world, policy):
+    """Pins every draw of a whole replay: feedback, slate selection and the
+    situation order. A change meant to keep the streams bit-identical must
+    pass it unchanged; a change that moves them on purpose updates both
+    constants and says so in CHANGES.md."""
+    report = replay_evaluate(build_policy(policy, world, seed=3), world,
+                             iterations=800, report_period=100, seed=4)
+    digest = hashlib.sha256()
+    for t in report.trials:
+        digest.update(json.dumps([t.situation.as_tuple(), t.shown,
+                                  sorted(t.clicks.items()),
+                                  t.branch.value]).encode() + b"\n")
+    assert (digest.hexdigest(), report.final_avctr) == GOLDEN_STREAMS[policy]
+
+
 def test_replay_guards(world):
     pol = RandomPolicy(world.doc_ids)
     with pytest.raises(ConfigError):
         replay_evaluate(pol, world, iterations=10, report_period=50)
+    with pytest.raises(ConfigError):
+        replay_evaluate(pol, world, iterations=10, report_period=0)
     budget = int(world.occurrences.sum())
     with pytest.raises(ExhaustedPool):
         replay_evaluate(pol, world, iterations=budget + 1, report_period=1)
