@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral, Real
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .casebase import CaseBase, RetrievalResult, UserPreferences
 # perfbench patches `bandit.cluster_situations` by name
 from .clustering import ClusteringConfig, cluster_situations  # noqa: F401
-from .errors import EmptyCandidates
+from .errors import ConfigError, EmptyCandidates, check_fields
 from .simindex import SituationIndex
 from .situation import Situation, Taxonomies
 
@@ -41,21 +40,16 @@ class BanditConfig:
     cold_start_fallback: bool = True
 
     def __post_init__(self):
-        for name in ("epsilon", "threshold_b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if isinstance(self.slate_size, bool) \
-                or not isinstance(self.slate_size, Integral):
-            raise ValueError(f"slate_size must be an integer, got "
-                             f"{self.slate_size!r}")
+        check_fields(self, "bandit config")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.slate_size < 1:
-            raise ValueError("slate_size must be >= 1")
+            raise ConfigError("slate_size must be >= 1")
         if not 0.0 <= self.threshold_b <= 3.0:
-            raise ValueError(f"threshold_b must be in [0, 3], got "
-                             f"{self.threshold_b}")
+            raise ConfigError(f"threshold_b must be in [0, 3], got "
+                              f"{self.threshold_b}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class Branch(str, Enum):
@@ -219,11 +213,11 @@ class EpsilonTunerState:
 
     def __post_init__(self):
         if not self.candidates:
-            raise ValueError("need at least one epsilon candidate")
+            raise ConfigError("need at least one epsilon candidate")
         if not self.weights:
             self.weights = [1.0] * len(self.candidates)
         if len(self.weights) != len(self.candidates):
-            raise ValueError("one weight per candidate")
+            raise ConfigError("one weight per candidate")
 
     @property
     def best(self) -> float:

@@ -7,8 +7,9 @@ delimited text. CLI flags override config-file values.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 import click
 import numpy as np
@@ -16,12 +17,23 @@ import yaml
 
 from .bandit import BanditConfig, EpsilonTunerState, step, tune_epsilon
 from .clustering import ClusteringConfig, kmedoids
-from .errors import ConfigError, SitubanditError
+from .errors import ConfigError, SitubanditError, check_kind
 from .simdata import (POLICY_NAMES, WorldConfig, build_policy,
                       clustering_precision, export_diary, generate_world,
                       load_world, replay_evaluate, save_world)
 
 DEFAULT_H_EPSILON = [round(0.1 * i, 1) for i in range(11)]
+
+#: Config keys set on `BanditConfig` (the run seed sets its `seed`), config
+#: keys -> `ClusteringConfig` fields, `replay_evaluate` arguments, and the
+#: commands' own keys.
+BANDIT_KEYS = [f.name for f in dataclasses.fields(BanditConfig)
+               if f.name != "seed"]
+CLUSTERING_KEYS = {"nc": "num_clusters", "t_max": "max_iterations"}
+REPLAY_KEYS = ["iterations", "report_period"]
+RUN_KEYS = ["seed", "seeds", "grid", "h_epsilon", "rounds", "episode_length",
+            "world", "sample_world"]
+CONFIG_KEYS = [*BANDIT_KEYS, *CLUSTERING_KEYS, *REPLAY_KEYS, *RUN_KEYS]
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -32,29 +44,26 @@ def _load_config(path: Optional[str]) -> dict:
         return {}
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
+    unknown = set(doc) - set(CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: "
+                          f"{', '.join(sorted(map(str, unknown)))}")
     return doc
 
 
 def _bandit_config(cfg: dict, seed: int) -> BanditConfig:
-    try:
-        return BanditConfig(
-            epsilon=cfg.get("epsilon", 0.1),
-            slate_size=cfg.get("slate_size", 10),
-            threshold_b=cfg.get("threshold_b", 2.4),
-            seed=seed,
-            cold_start_fallback=cfg.get("cold_start_fallback", True))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return BanditConfig(**{k: cfg[k] for k in BANDIT_KEYS if k in cfg},
+                        seed=seed)
 
 
 def _clustering_config(cfg: dict, seed: int) -> ClusteringConfig:
-    try:
-        return ClusteringConfig(
-            num_clusters=_config_int(cfg, "nc", 10),
-            max_iterations=_config_int(cfg, "t_max", 60),
-            seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ClusteringConfig(**{field: cfg[k]
+                               for k, field in CLUSTERING_KEYS.items()
+                               if k in cfg}, seed=seed)
+
+
+def _replay_keys(cfg: dict) -> dict:
+    return {k: cfg[k] for k in REPLAY_KEYS if k in cfg}
 
 
 def _world_config(cfg: dict, key: str = "world", **extra) -> WorldConfig:
@@ -67,47 +76,23 @@ def _world_config(cfg: dict, key: str = "world", **extra) -> WorldConfig:
 def _numbers(kind: type, flag: Optional[str], cfg: dict, key: str,
              default: list) -> list:
     """The comma-separated `flag` values, else the config's `key` list, else
-    `default`, each converted by `kind`; a malformed value is a ConfigError."""
-    values = ([v for v in flag.split(",") if v.strip() != ""] if flag
-              else cfg.get(key, default))
-    try:
-        return [kind(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a list of numbers, got "
-                          f"{values!r}") from None
-
-
-def _parse_grid(grid: Optional[str], cfg: dict, key: str,
-                default: Optional[List[float]] = None) -> List[float]:
-    values = _numbers(float, grid, cfg, key, default or [])
-    if not values:
-        raise ConfigError("empty sweep grid")
-    return values
-
-
-def _integer(name: str, value) -> int:
-    """An integer parameter from a config value, a grid value or a flag
-    string; fractions are refused, not truncated, and so is anything else
-    that is not an integer."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    `default`: a non-empty list, each entry a `kind` (int or float)."""
+    if flag:
+        values = []
+        for text in filter(str.strip, flag.split(",")):
+            try:
+                values.append(kind(text))
+            except ValueError:
+                values.append(text)  # not a `kind`: refused below
+    else:
+        values = cfg.get(key, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key} must be a non-empty list, got {values!r}")
+    return [kind(check_kind(f"{key} entry", v, kind)) for v in values]
 
 
 def _config_int(cfg: dict, key: str, default: int) -> int:
-    return _integer(key, cfg.get(key, default))
-
-
-def _seeds(flag: Optional[str], cfg: dict) -> List[int]:
-    seeds = _numbers(lambda v: _integer("seed", v), flag, cfg, "seeds", [0])
-    if not seeds:
-        raise ConfigError("empty seed list")
-    return seeds
+    return check_kind(key, cfg.get(key, default), int)
 
 
 @click.group()
@@ -156,10 +141,8 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
         base = seed if seed is not None else _config_int(cfg, "seed", 0)
         world = load_world(world_path)
         pol = build_policy(policy, world, _bandit_config(cfg, base))
-        report = replay_evaluate(
-            pol, world, iterations=_config_int(cfg, "iterations", 10000),
-            report_period=_config_int(cfg, "report_period", 1000),
-            seed=base + 10 ** 6, keep_trials=False)
+        report = replay_evaluate(pol, world, **_replay_keys(cfg),
+                                 seed=base + 10 ** 6, keep_trials=False)
         report.to_tsv(out_path)
         click.echo(f"{policy}: final avg CTR {report.final_avctr:.4f} "
                    f"-> {out_path}")
@@ -183,22 +166,18 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
     """One replay run per (grid value, seed); merged result table."""
     def go():
         cfg = _load_config(config_path)
-        values = _parse_grid(grid, cfg, "grid")
-        seeds = _seeds(seeds_flag, cfg)
+        values = _numbers(float, grid, cfg, "grid", [])
+        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
         # the --param names are the config keys; build (and so validate)
         # every run's config before the first replay
         runs = [(value, s, _bandit_config({**cfg, param: value}, s))
                 for value in values for s in seeds]
-        iterations = _config_int(cfg, "iterations", 10000)
-        report_period = _config_int(cfg, "report_period", 1000)
         world = load_world(world_path)
         lines = ["param\tvalue\tseed\tfinal_avctr"]
         for value, s, bandit_cfg in runs:
             pol = build_policy(policy, world, bandit_cfg)
-            report = replay_evaluate(
-                pol, world, iterations=iterations,
-                report_period=report_period,
-                seed=s + 10 ** 6, keep_trials=False)
+            report = replay_evaluate(pol, world, **_replay_keys(cfg),
+                                     seed=s + 10 ** 6, keep_trials=False)
             lines.append(f"{param}\t{value:g}\t{s}\t"
                          f"{report.final_avctr:.6f}")
         Path(out_path).write_text("\n".join(lines) + "\n")
@@ -221,9 +200,11 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
                               DEFAULT_H_EPSILON)
         configs = {e: _bandit_config({**cfg, "epsilon": e}, base)
                    for e in candidates}
-        world = load_world(world_path)
         rounds = _config_int(cfg, "rounds", 200)
         episode_length = _config_int(cfg, "episode_length", 50)
+        if rounds < 1 or episode_length < 1:
+            raise ConfigError("rounds and episode_length must both be >= 1")
+        world = load_world(world_path)
         engine = build_policy("clustering-eps-greedy", world,
                               _bandit_config(cfg, base))
         rng = np.random.default_rng(base + 10 ** 6)
@@ -265,10 +246,8 @@ def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
     pairwise precision against the ground-truth groups."""
     def go():
         cfg = _load_config(config_path)
-        values = [_integer("t_max", v)
-                  for v in _parse_grid(grid, cfg, "grid",
-                                       [1, 5, 10, 20, 40, 60])]
-        seeds = _seeds(seeds_flag, cfg)
+        values = _numbers(int, grid, cfg, "grid", [1, 5, 10, 20, 40, 60])
+        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
         sample_cfg = _world_config(cfg, key="sample_world", groups=10,
                                    situations_per_group=50, docs=200,
                                    preferred_docs_per_group=5)

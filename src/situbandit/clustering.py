@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import TooFewCases
+from .errors import ConfigError, TooFewCases, check_fields
 
 #: Upper bound on greedy medoid-swap passes after the alternating loop.
 MAX_SWAP_PASSES = 4
@@ -32,9 +32,12 @@ class ClusteringConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, "clustering config")
         if self.num_clusters < 1 or self.max_iterations < 1:
-            raise ValueError("num_clusters and max_iterations must both "
-                             "be >= 1")
+            raise ConfigError("num_clusters and max_iterations must both "
+                              "be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+config value's kind."""
+
+import dataclasses
+from numbers import Integral, Real
+
+import numpy as np
 
 
 class SitubanditError(Exception):
@@ -37,7 +43,7 @@ class ExhaustedPool(SitubanditError):
     """Situation pool emptied before the replay finished."""
 
 
-class ConfigError(SitubanditError):
+class ConfigError(SitubanditError, ValueError):
     """Invalid or impossible configuration."""
 
 
@@ -47,3 +53,34 @@ class UnknownPolicy(SitubanditError):
 
 class LabelMismatch(SitubanditError):
     """Predicted partition and ground-truth labels cover different items."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+_KINDS = {
+    bool: ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
+    int: ("an integer", lambda v: _is_number(v) and isinstance(v, Integral)),
+    float: ("a number", _is_number),
+    tuple: ("a pair of numbers", lambda v: isinstance(v, tuple)
+            and len(v) == 2 and all(map(_is_number, v))),
+}
+
+
+def check_kind(name: str, value, kind: type):
+    """`value`, if it is of `kind` (bool, int, float for a number, or tuple
+    for a pair of numbers), else raise ConfigError. Bools are not numbers
+    and whole floats are not integers; numpy scalars count as Python ones."""
+    noun, ok = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
+def check_fields(config, what: str) -> None:
+    """Raise ConfigError unless each field of the dataclass `config` holds
+    the kind of its default; `what` names the config in the message."""
+    for f in dataclasses.fields(config):
+        check_kind(f"{what} {f.name}", getattr(config, f.name),
+                   type(f.default))

@@ -159,11 +159,8 @@ def taxonomy_from_dict(doc: Mapping, dimension: Union[Dimension, str]) -> Taxono
     else:
         _walk(doc, dimension, None, parent, labels)
         root = doc["id"]
-    tax = Taxonomy(dimension=dimension, root=root, parent=parent, labels=labels)
-    # force path computation so cycles surface at load time
-    for cid in labels:
-        tax._root_path(cid)
-    return tax
+    return Taxonomy(dimension=dimension, root=root, parent=parent,
+                    labels=labels)
 
 
 def load_taxonomy(source: Union[str, Path], dimension: Union[Dimension, str]) -> Taxonomy:

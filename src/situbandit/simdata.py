@@ -16,17 +16,18 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bandit import (Branch, FeedbackSource, Recommendation, TrialRecord,
-                     random_slate, step)
+from .bandit import (BanditConfig, Branch, FeedbackSource,
+                     GlobalEpsilonGreedy, Recommendation,
+                     RecommendationEngine, TrialRecord, random_slate, step)
 from .casebase import DocumentStats, UserPreferences
 from .errors import (ConfigError, ExhaustedPool, LabelMismatch, ParseError,
-                     SitubanditError, UnknownDoc, UnknownPolicy)
+                     SitubanditError, UnknownDoc, UnknownPolicy, check_fields,
+                     check_kind)
 from .ontology import Dimension, Taxonomy, taxonomy_from_dict, taxonomy_to_dict
 from .simindex import SituationIndex
 from .situation import Situation, Taxonomies
@@ -52,29 +53,29 @@ class WorldConfig:
     nav_entries_per_situation: int = 15
 
     def __post_init__(self):
-        # each field takes the kind of its default
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, tuple):
-                kind = "a pair of numbers"
-                ok = (isinstance(value, tuple) and len(value) == 2
-                      and all(_is_a(v, Real) for v in value))
-            elif isinstance(f.default, int):
-                kind, ok = "an integer", _is_a(value, Integral)
-            else:
-                kind, ok = "a number", _is_a(value, Real)
-            if not ok:
-                raise ConfigError(f"world config {f.name} must be {kind}, "
-                                  f"got {value!r}")
+        check_fields(self, "world config")
         if self.groups < 1 or self.situations_per_group < 1 or self.docs < 1:
             raise ConfigError("groups, situations_per_group and docs must be >= 1")
         if self.taxonomy_depth < 2 or self.branching < 2:
             raise ConfigError("need taxonomy_depth >= 2 and branching >= 2")
-        if self.preferred_docs_per_group < 1 or self.organic_browse < 0:
-            raise ConfigError("need preferred_docs_per_group >= 1 and "
-                              "organic_browse >= 0")
+        if self.preferred_docs_per_group < 1:
+            raise ConfigError("need preferred_docs_per_group >= 1")
         if self.preferred_docs_per_group * self.groups > self.docs:
             raise ConfigError("not enough documents for disjoint preferred sets")
+        for name in ("occurrences_per_situation", "organic_browse",
+                     "nav_entries_per_situation"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"world config {name} must be >= 0")
+        for name in ("organic_good_bias", "parent_perturb_prob",
+                     "second_perturb_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"world config {name} must be in [0, 1]")
+        for name in ("high_affinity", "background_affinity",
+                     "foreign_affinity"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ConfigError(f"world config {name} must be a range "
+                                  f"(lo, hi) with 0 <= lo <= hi <= 1")
 
     @classmethod
     def from_dict(cls, doc) -> "WorldConfig":
@@ -90,11 +91,6 @@ class WorldConfig:
                               f"{', '.join(sorted(map(str, unknown)))}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v
                       for k, v in doc.items()})
-
-
-def _is_a(value, kind: type) -> bool:
-    """`value` is a `kind` number; bools are not numbers here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 _DIM_ROOTS = {
@@ -260,6 +256,9 @@ def _check_separation(world: SyntheticWorld) -> None:
 
 
 def generate_world(cfg: WorldConfig, seed: int = 0) -> SyntheticWorld:
+    check_kind("seed", seed, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     taxonomies = Taxonomies(
         balanced_taxonomy(Dimension.LOCATION, cfg.taxonomy_depth, cfg.branching),
@@ -345,6 +344,8 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
     """Offline replay: draw situations from the occurrence multiset, ask the
     policy for a slate, sample clicks, feed them back, and log cumulative
     average CTR every `report_period` iterations."""
+    check_kind("iterations", iterations, int)
+    check_kind("report_period", report_period, int)
     if report_period < 1:
         raise ConfigError("report_period must be >= 1")
     if iterations < report_period:
@@ -428,9 +429,6 @@ def build_policy(name: str, world: SyntheticWorld, bandit_cfg=None,
     eps-greedy: the context-free global bandit. random / oracle: floor and
     ceiling baselines.
     """
-    from .bandit import (BanditConfig, GlobalEpsilonGreedy,
-                         RecommendationEngine)
-
     cfg = bandit_cfg if bandit_cfg is not None else BanditConfig()
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)

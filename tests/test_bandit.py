@@ -11,7 +11,7 @@ from situbandit.bandit import (BanditConfig, Branch, EpsilonTunerState,
                                epsilon_greedy, greedy_top_n, step,
                                tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
-from situbandit.errors import EmptyCandidates
+from situbandit.errors import ConfigError, EmptyCandidates
 from situbandit.situation import Situation
 
 
@@ -41,6 +41,11 @@ def test_config_validation():
                 {"slate_size": True}, {"epsilon": "abc"},
                 {"epsilon": False}, {"threshold_b": None}):
         with pytest.raises(ValueError):
+            BanditConfig(**bad)
+    # every field is checked, and a config error is a ValueError
+    for bad in ({"seed": 1.5}, {"seed": -1}, {"cold_start_fallback": "no"},
+                {"cold_start_fallback": 0}):
+        with pytest.raises(ConfigError):
             BanditConfig(**bad)
     # numpy scalars are numbers too
     BanditConfig(epsilon=np.float64(0.2), slate_size=np.int64(3))
@@ -269,9 +274,9 @@ def test_global_baseline_learns(tiny_taxonomies, base_situation):
 
 
 def test_tuner_state_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EpsilonTunerState(candidates=[])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EpsilonTunerState(candidates=[0.1], weights=[1.0, 2.0])
 
 

@@ -5,7 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from situbandit.cli import main
+from situbandit.cli import CONFIG_KEYS, main
 
 TINY_WORLD = {
     "groups": 3,
@@ -228,6 +228,12 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
         # fractional seeds are refused, not truncated into a repeated seed
         ["sweep", "--config", str(half_seed_cfg), *world, "--param",
          "epsilon", "--grid", "0.1"],
+        # negative seeds are refused, not passed on to numpy
+        ["simulate", "--config", str(cfg), *world, "--seed", "-1"],
+        ["sweep", "--config", str(cfg), *world, "--param", "epsilon",
+         "--grid", "0.1", "--seeds=-1"],
+        ["gen-data", "--config", str(cfg), "--seed", "-1"],
+        ["cluster-eval", "--config", str(eval_cfg), "--seeds=-1"],
     ]
     for args in cases:
         res = runner.invoke(main, args + ["--out", str(tmp_path / "o.tsv")])
@@ -254,6 +260,13 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
     ("tune-epsilon", "slate_size", 2.5),
     ("cluster-eval", "nc", 2.5),
     ("cluster-eval", "seed", "s"),
+    ("simulate", "cold_start_fallback", "no"),
+    # one integer rule: a whole float is not an integer, for any key
+    ("simulate", "iterations", 200.0),
+    ("cluster-eval", "nc", 3.0),
+    ("tune-epsilon", "h_epsilon", []),
+    ("tune-epsilon", "rounds", -3),
+    ("tune-epsilon", "episode_length", -1),
 ])
 def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
                                                        command, key, value):
@@ -275,6 +288,29 @@ def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
     assert not (tmp_path / "o.tsv").exists()
 
 
+def test_unknown_config_key_is_refused(runner, tmp_path):
+    world_path, _ = gen_world(runner, tmp_path)
+    cfg = tmp_path / "typo.yaml"
+    write_config(cfg, dict(FAST_RUN, epsilom=1.0))
+    out = tmp_path / "o.tsv"
+    res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                               "--world", str(world_path),
+                               "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "Error: unknown config keys: epsilom" in res.output
+    assert not out.exists()
+
+
+def test_readme_lists_every_config_key():
+    # the first cell of each row of README's config-key table names keys
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Config keys")[1].split("\n#")[0]
+    listed = [key.rstrip(":") for row in section.splitlines()
+              if row.startswith("| `")
+              for key in row.split("|")[1].split("`")[1::2]]
+    assert sorted(listed) == sorted(CONFIG_KEYS)
+
+
 @pytest.mark.parametrize("command, key, entry", [
     ("gen-data", "world", {"colour": "red"}),
     ("gen-data", "world", {"groups": "3"}),
@@ -285,6 +321,8 @@ def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
     ("gen-data", "world", ["groups", 3]),
     ("cluster-eval", "sample_world", {"colour": "red"}),
     ("cluster-eval", "sample_world", {"docs": 30.5}),
+    ("gen-data", "world", {"occurrences_per_situation": -1}),
+    ("cluster-eval", "sample_world", {"high_affinity": [0.9, 0.5]}),
 ])
 def test_bad_world_config_is_a_clean_error(runner, tmp_path, command, key,
                                            entry):

@@ -10,7 +10,7 @@ from situbandit import clustering, simindex
 from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
 from situbandit.clustering import (ClusteringConfig, cluster_situations,
                                    kmedoids)
-from situbandit.errors import TooFewCases
+from situbandit.errors import ConfigError, TooFewCases
 from situbandit.ontology import Dimension
 from situbandit.simdata import balanced_taxonomy
 from situbandit.simindex import SituationIndex
@@ -44,6 +44,10 @@ def test_config_validation():
         ClusteringConfig(num_clusters=0)
     with pytest.raises(ValueError):
         ClusteringConfig(max_iterations=0)
+    for bad in ({"num_clusters": 2.5}, {"num_clusters": True},
+                {"max_iterations": "60"}, {"seed": -1}):
+        with pytest.raises(ConfigError):
+            ClusteringConfig(**bad)
 
 
 def test_too_few_cases():

@@ -45,7 +45,15 @@ def test_config_validation():
                 {"groups": "3"}, {"situations_per_group": 30.0},
                 {"situations_per_group": True},
                 {"organic_good_bias": "high"}, {"high_affinity": (0.5,)},
-                {"foreign_affinity": [0.001, 0.01]}):
+                {"foreign_affinity": [0.001, 0.01]},
+                # negative counts, probabilities outside [0, 1], and
+                # affinity ranges that are not 0 <= lo <= hi <= 1
+                {"occurrences_per_situation": -1},
+                {"nav_entries_per_situation": -1},
+                {"organic_good_bias": 1.5}, {"parent_perturb_prob": -0.2},
+                {"second_perturb_prob": 1.1},
+                {"high_affinity": (0.9, 0.5)}, {"high_affinity": (0.5, 1.7)},
+                {"background_affinity": (-0.01, 0.05)}):
         with pytest.raises(ConfigError):
             WorldConfig(**bad)
     # a mapping from a config file or world.json: lists stand for pairs,
