@@ -4,7 +4,7 @@ replay simulation harness."""
 from .bandit import (BanditConfig, Branch, EpsilonTunerState,
                      GlobalEpsilonGreedy, Recommendation,
                      RecommendationEngine, TrialRecord, epsilon_greedy,
-                     greedy_top_n, random_slate, step, tune_epsilon)
+                     random_slate, step, tune_epsilon)
 from .casebase import (Case, CaseBase, DocumentStats, RetrievalResult,
                        UserPreferences)
 from .clustering import (ClusteringConfig, ClusteringResult,

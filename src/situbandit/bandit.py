@@ -1,13 +1,13 @@
 """Document-selection policies and the main recommendation engine.
 
 The engine runs one trial per incoming situation: retrieve the nearest
-case, pick a slate (greedy in high-level critical situations, epsilon-
-greedy otherwise, uniform-random fallback below the similarity threshold),
-absorb the click feedback and refresh the dimension weights. The engine
-does not cluster situations; k-medoid clustering is the separate
-precision experiment of `situbandit cluster-eval`. A context-free variant
-keeps one global preference pool and ignores situations entirely; it is
-the comparison baseline for the engine.
+case, pick a slate (epsilon-greedy over the case, or a uniform-random
+slate below the similarity threshold), absorb the click feedback and
+refresh the dimension weights. The engine does not cluster situations;
+k-medoid clustering is the separate precision experiment of `situbandit
+cluster-eval`. A context-free variant keeps one global preference pool
+and ignores situations entirely; it is the comparison baseline for the
+engine.
 
 Slate selection reads the CTR ranking each preference map keeps current
 (`UserPreferences.ranking`), so a pick never re-scores or re-sorts the
@@ -37,7 +37,6 @@ class BanditConfig:
     slate_size: int = 10
     threshold_b: float = 2.4
     seed: int = 0
-    cold_start_fallback: bool = True
 
     def __post_init__(self):
         check_fields(self, "bandit config")
@@ -53,10 +52,8 @@ class BanditConfig:
 
 
 class Branch(str, Enum):
-    HLCS_GREEDY = "hlcs-greedy"
     EPS_GREEDY = "eps-greedy"
     COLD_START = "cold-start"
-    NO_RECOMMEND = "no-recommend"
 
 
 @dataclass
@@ -84,11 +81,6 @@ def random_slate(pool: Sequence[str], n: int,
     """Up to n distinct documents drawn uniformly from `pool`."""
     picks = rng.choice(len(pool), size=min(n, len(pool)), replace=False)
     return [pool[i] for i in picks]
-
-
-def greedy_top_n(candidates: UserPreferences, n: int) -> List[str]:
-    """Top-n documents by CTR, ties broken by lowest doc id."""
-    return [d for _, d in candidates.ranking()[:n]]
 
 
 def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
@@ -126,33 +118,22 @@ class RecommendationEngine:
 
     def __init__(self, taxonomies: Taxonomies, doc_pool: Sequence[str],
                  config: Optional[BanditConfig] = None,
-                 hlcs: Sequence[Situation] = (),
                  index: Optional[SituationIndex] = None):
         self.config = config if config is not None else BanditConfig()
         # read by perfbench, which clusters the final case base with it
         self.clustering_cfg = ClusteringConfig()
-        self.casebase = CaseBase(taxonomies, hlcs=hlcs, index=index)
+        self.casebase = CaseBase(taxonomies, index=index)
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
-        self.tt = 0
 
     def recommend(self, situation: Situation) -> Recommendation:
-        cb = self.casebase
-        retrieval = cb.retrieve(situation)
-        gate_ok = (retrieval is not None
-                   and retrieval.unweighted_sim >= self.config.threshold_b
-                   and retrieval.case.prefs)
-        if not gate_ok:
-            if self.config.cold_start_fallback:
-                return Recommendation(
-                    random_slate(self.doc_pool, self.config.slate_size,
-                                 self.rng),
-                    Branch.COLD_START, retrieval)
-            return Recommendation([], Branch.NO_RECOMMEND, retrieval)
-        if cb.is_hlcs(retrieval.case.situation):
-            slate = greedy_top_n(retrieval.case.prefs, self.config.slate_size)
-            cb.mark_hlcs(situation)
-            return Recommendation(slate, Branch.HLCS_GREEDY, retrieval)
+        retrieval = self.casebase.retrieve(situation)
+        if (retrieval is None
+                or retrieval.unweighted_sim < self.config.threshold_b
+                or not retrieval.case.prefs):
+            return Recommendation(
+                random_slate(self.doc_pool, self.config.slate_size, self.rng),
+                Branch.COLD_START, retrieval)
         slate = epsilon_greedy(retrieval.case.prefs, self.config.slate_size,
                                self.config.epsilon, self.rng)
         return Recommendation(slate, Branch.EPS_GREEDY, retrieval)
@@ -163,7 +144,6 @@ class RecommendationEngine:
         cb.update_preferences(situation, feedback)
         if rec.retrieval is not None:
             cb.weights.record(rec.retrieval.per_dim_sims)
-        self.tt += 1
 
 
 class GlobalEpsilonGreedy:
@@ -214,6 +194,9 @@ class EpsilonTunerState:
     def __post_init__(self):
         if not self.candidates:
             raise ConfigError("need at least one epsilon candidate")
+        if len(set(self.candidates)) != len(self.candidates):
+            raise ConfigError(f"epsilon candidates must be distinct, got "
+                              f"{self.candidates}")
         if not self.weights:
             self.weights = [1.0] * len(self.candidates)
         if len(self.weights) != len(self.candidates):

@@ -17,7 +17,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -155,7 +155,7 @@ def _document(doc) -> DocumentStats:
 
 
 class CaseBase:
-    """All cases plus their situation index, HLCS set and weights.
+    """All cases plus their situation index and weights.
 
     `case_of` maps each stored situation to its case index; no situation
     is stored twice. Single-writer mutable state owned by one engine
@@ -164,14 +164,12 @@ class CaseBase:
 
     def __init__(self, taxonomies: Taxonomies,
                  weights: Optional[DimensionWeights] = None,
-                 hlcs: Iterable[Situation] = (),
                  index: Optional[SituationIndex] = None):
         self.index = index if index is not None else SituationIndex(taxonomies)
         self.weights = weights if weights is not None else DimensionWeights()
         self.cases: List[Case] = []
         self.case_of: Dict[Situation, int] = {}
         self.encoded = EncodedSituations()
-        self.hlcs: set = set(hlcs)
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -219,12 +217,6 @@ class CaseBase:
         self.case_of[case.situation] = len(self.cases)
         self.cases.append(case)
 
-    def mark_hlcs(self, s: Situation) -> None:
-        self.hlcs.add(s)
-
-    def is_hlcs(self, s: Situation) -> bool:
-        return s in self.hlcs
-
     # -- persistence -------------------------------------------------------
 
     def to_snapshot(self) -> dict:
@@ -240,7 +232,6 @@ class CaseBase:
                 }
                 for c in self.cases
             ],
-            "hlcs": sorted(list(s.as_tuple()) for s in self.hlcs),
             "weights": self.weights.to_snapshot(),
         }
 
@@ -256,8 +247,9 @@ class CaseBase:
         A snapshot is outside input: a missing key, a malformed situation,
         document or count, and a situation or doc id listed twice raise
         ParseError. Keys that older snapshots carry are ignored: a
-        partition's `cluster_of` and `medoids`, and each document's two
-        former fields besides its clicks and impressions.
+        partition's `cluster_of` and `medoids`, the former `hlcs` list of
+        critical situations, and each document's two former fields besides
+        its clicks and impressions.
         """
         cb = cls(taxonomies, weights=DimensionWeights.from_snapshot(
             _field(doc, "weights", dict, "snapshot")), index=index)
@@ -275,10 +267,6 @@ class CaseBase:
                                      f"lists doc {stats.doc_id!r} twice")
                 docs[stats.doc_id] = stats
             cb._insert(Case(situation, UserPreferences(docs)))
-        cb.hlcs = {_situation(t)
-                   for t in _field(doc, "hlcs", list, "snapshot")}
-        for s in cb.hlcs:
-            taxonomies.validate(s)
         return cb
 
     @classmethod

@@ -198,6 +198,7 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
         base = seed if seed is not None else _config_int(cfg, "seed", 0)
         candidates = _numbers(float, None, cfg, "h_epsilon",
                               DEFAULT_H_EPSILON)
+        state = EpsilonTunerState(candidates)
         configs = {e: _bandit_config({**cfg, "epsilon": e}, base)
                    for e in candidates}
         rounds = _config_int(cfg, "rounds", 200)
@@ -219,7 +220,6 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
                 clicks += sum(step(engine, s, source).clicks.values())
             return clicks
 
-        state = EpsilonTunerState(candidates)
         lines = ["round\tepsilon\tclicks\t"
                  + "\t".join(f"w_{e:g}" for e in candidates)]
         for _ in range(rounds):

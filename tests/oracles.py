@@ -2,9 +2,11 @@
 
 The package scores situations only through `SituationIndex`; these
 functions compute the same Wu-Palmer similarities one pair at a time.
+The package picks slates only from a map's maintained CTR ranking;
+`oracle_greedy_top_n` re-scores and re-sorts every candidate instead.
 """
 
-from typing import Tuple
+from typing import List, Tuple
 
 from situbandit.ontology import wu_palmer
 from situbandit.situation import DimensionWeights, Situation, Taxonomies
@@ -30,3 +32,18 @@ def unweighted_similarity(s1: Situation, s2: Situation,
                           taxonomies: Taxonomies) -> float:
     """Plain sum of per-dimension similarities, in (0, 3]."""
     return sum(sim_per_dimension(s1, s2, taxonomies))
+
+
+def oracle_ctr(ds) -> float:
+    """Click-through rate of one `DocumentStats`, clicks capped at
+    impressions; 0 for a document never shown."""
+    if ds.impressions <= 0:
+        return 0.0
+    return min(ds.clicks, ds.impressions) / ds.impressions
+
+
+def oracle_greedy_top_n(candidates, n: int) -> List[str]:
+    """Top-n documents of a `UserPreferences` by CTR, ties broken by lowest
+    doc id."""
+    return sorted(candidates.docs,
+                  key=lambda d: (-oracle_ctr(candidates.docs[d]), d))[:n]

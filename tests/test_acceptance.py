@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from scipy import stats as scipy_stats
 
 from situbandit.bandit import (BanditConfig, EpsilonTunerState,
-                               epsilon_greedy, greedy_top_n, tune_epsilon)
+                               epsilon_greedy, tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.cli import main as cli_main
 from situbandit.clustering import ClusteringConfig, kmedoids
@@ -29,6 +29,7 @@ from situbandit.simindex import SituationIndex
 from situbandit.situation import Situation
 
 from conftest import brute_force_wu_palmer, random_tree
+from oracles import oracle_greedy_top_n
 
 RUN_SEEDS = list(range(1, 11))
 EPS_GRID = [0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
@@ -107,7 +108,7 @@ def test_criterion_2_policy_degeneracy():
         for d in docs})
     # eps=0 equals the deterministic top-N oracle
     greedy_ok = all(epsilon_greedy(cands, 3, 0.0, rng) ==
-                    greedy_top_n(cands, 3) for _ in range(100))
+                    oracle_greedy_top_n(cands, 3) for _ in range(100))
     # eps=1 uniformity of the first pick over 10^4 seeded slates
     counts = {d: 0 for d in docs}
     for _ in range(10**4):

@@ -8,11 +8,12 @@ from hypothesis import given, strategies as st
 from situbandit import bandit
 from situbandit.bandit import (BanditConfig, Branch, EpsilonTunerState,
                                GlobalEpsilonGreedy, RecommendationEngine,
-                               epsilon_greedy, greedy_top_n, step,
-                               tune_epsilon)
+                               epsilon_greedy, step, tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.errors import ConfigError, EmptyCandidates
 from situbandit.situation import Situation
+
+from oracles import oracle_greedy_top_n
 
 
 def stats(doc_id, clicks, impressions):
@@ -43,8 +44,7 @@ def test_config_validation():
         with pytest.raises(ValueError):
             BanditConfig(**bad)
     # every field is checked, and a config error is a ValueError
-    for bad in ({"seed": 1.5}, {"seed": -1}, {"cold_start_fallback": "no"},
-                {"cold_start_fallback": 0}):
+    for bad in ({"seed": 1.5}, {"seed": -1}):
         with pytest.raises(ConfigError):
             BanditConfig(**bad)
     # numpy scalars are numbers too
@@ -60,8 +60,10 @@ def test_get_ctr():
 
 
 def test_greedy_top_n_order_and_ties(candidates):
-    assert greedy_top_n(candidates, 3) == ["d2", "d5", "d1"]
-    assert greedy_top_n(candidates, 10) == ["d2", "d5", "d1", "d3", "d4"]
+    rng = np.random.default_rng(0)
+    assert epsilon_greedy(candidates, 3, 0.0, rng) == ["d2", "d5", "d1"]
+    assert (epsilon_greedy(candidates, 10, 0.0, rng)
+            == ["d2", "d5", "d1", "d3", "d4"])
 
 
 def test_epsilon_greedy_empty_candidates():
@@ -100,17 +102,6 @@ def test_epsilon_one_is_uniform(candidates):
 # Reference selection: re-score and re-sort every candidate on each call,
 # reading nothing but `docs`.
 
-def oracle_ctr(ds):
-    if ds.impressions <= 0:
-        return 0.0
-    return min(ds.clicks, ds.impressions) / ds.impressions
-
-
-def oracle_greedy_top_n(candidates, n):
-    return sorted(candidates.docs,
-                  key=lambda d: (-oracle_ctr(candidates.docs[d]), d))[:n]
-
-
 def oracle_epsilon_greedy(candidates, n, epsilon, rng):
     remaining = oracle_greedy_top_n(candidates, len(candidates.docs))
     slate = []
@@ -131,8 +122,7 @@ doc_maps = st.dictionaries(
     doc_ids, st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
 slate_calls = st.tuples(
     st.integers(1, 15),
-    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    st.booleans())
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 
 
 def as_prefs(counts):
@@ -153,10 +143,8 @@ def test_slates_match_rescoring_oracle(initial, ops, seed):
             prefs.merge(as_prefs(op))
             mirror.merge(as_prefs(op))
             continue
-        n, epsilon, greedy = op
-        if greedy:
-            assert greedy_top_n(prefs, n) == oracle_greedy_top_n(mirror, n)
-        elif not mirror:
+        n, epsilon = op
+        if not mirror:
             with pytest.raises(EmptyCandidates):
                 epsilon_greedy(prefs, n, epsilon, rng)
         else:
@@ -182,14 +170,6 @@ def test_engine_cold_start_on_empty_base(tiny_taxonomies, base_situation):
     assert len(rec.slate) == 10 and len(set(rec.slate)) == 10
 
 
-def test_engine_no_recommend_variant(tiny_taxonomies, base_situation):
-    eng = make_engine(tiny_taxonomies,
-                      config=BanditConfig(cold_start_fallback=False))
-    rec = eng.recommend(base_situation)
-    assert rec.branch == Branch.NO_RECOMMEND
-    assert rec.slate == []
-
-
 def test_engine_threshold_gate(tiny_taxonomies, base_situation):
     eng = make_engine(tiny_taxonomies)
     step(eng, base_situation, feedback_all_clicked)
@@ -208,27 +188,12 @@ def test_engine_gate_requires_nonempty_prefs(tiny_taxonomies, base_situation):
     assert eng.recommend(base_situation).branch == Branch.COLD_START
 
 
-def test_engine_hlcs_branch_is_greedy_and_spreads(tiny_taxonomies):
-    crisis = Situation("La1", "Ta1", "Sa1")
-    eng = make_engine(tiny_taxonomies, hlcs=[crisis])
-    step(eng, crisis, feedback_all_clicked)
-    rec = eng.recommend(crisis)
-    assert rec.branch == Branch.HLCS_GREEDY
-    assert rec.slate == greedy_top_n(eng.casebase.cases[0].prefs, 10)
-    # a nearby situation served from the critical case is marked critical too
-    near = Situation("La2", "Ta1", "Sa1")
-    assert eng.recommend(near).branch == Branch.HLCS_GREEDY
-    assert eng.casebase.is_hlcs(near)
-
-
 def test_engine_counts_and_weights_update(tiny_taxonomies, base_situation):
     eng = make_engine(tiny_taxonomies)
     step(eng, base_situation, feedback_all_clicked)
-    assert eng.tt == 1
     # first trial retrieves nothing, so no gamma observation yet
     assert eng.casebase.weights.count == 0
     step(eng, base_situation, feedback_all_clicked)
-    assert eng.tt == 2
     assert eng.casebase.weights.alpha == pytest.approx((1.0, 1.0, 1.0))
 
 
@@ -243,7 +208,6 @@ def test_engine_no_clustering_variant(tiny_taxonomies):
                            side_effect=AssertionError("engine clustered")):
         for s in sits:
             step(eng, s, feedback_all_clicked)
-    assert eng.tt == len(sits)
     assert len(eng.casebase) == len(eng.casebase.case_of) == len(set(sits))
 
 
@@ -278,6 +242,9 @@ def test_tuner_state_validation():
         EpsilonTunerState(candidates=[])
     with pytest.raises(ConfigError):
         EpsilonTunerState(candidates=[0.1], weights=[1.0, 2.0])
+    # a repeated value would be two arms for one setting
+    with pytest.raises(ConfigError):
+        EpsilonTunerState(candidates=[0.0, 0.5, 0.5])
 
 
 def test_tuner_explores_all_then_exploits_best():

@@ -115,25 +115,13 @@ def test_retrieval_is_deterministic(corner_cb):
         assert corner_cb.retrieve(q).case_index == first
 
 
-def test_hlcs_membership(tiny_taxonomies, base_situation):
-    cb = CaseBase(tiny_taxonomies)
-    assert not cb.is_hlcs(base_situation)
-    cb.mark_hlcs(base_situation)
-    cb.mark_hlcs(base_situation)  # idempotent
-    assert cb.is_hlcs(base_situation)
-    assert cb.is_hlcs(Situation("La1", "Ta1", "Sa1"))  # value equality
-    assert len(cb.hlcs) == 1
-
-
 def test_snapshot_roundtrip(corner_cb, tmp_path, tiny_taxonomies):
-    corner_cb.mark_hlcs(Situation("La1", "Ta1", "Sa1"))
     corner_cb.weights.record((0.5, 1.0, 0.25))
     path = tmp_path / "cases.json"
     corner_cb.save(path)
     back = CaseBase.load(path, tiny_taxonomies)
     assert len(back) == len(corner_cb)
     assert back.case_of == corner_cb.case_of
-    assert back.hlcs == corner_cb.hlcs
     assert back.weights.alpha == corner_cb.weights.alpha
     for mine, theirs in zip(corner_cb.cases, back.cases):
         assert mine.situation == theirs.situation
@@ -179,20 +167,14 @@ MALFORMED = {
     "no-docs": (("cases", 0, "docs"), DROP),
     "no-situation": (("cases", 0, "situation"), DROP),
     "no-cases": (("cases",), DROP),
-    "no-hlcs": (("hlcs",), DROP),
     "no-weights": (("weights",), DROP),
     "no-weights-count": (("weights", "count"), DROP),
     "weights-not-a-mapping": (("weights",), [0.5, 1.0, 0.25]),
-    "two-element-hlcs": (("hlcs",), [["La1", "Ta1"]]),
-    "null-hlcs-concept": (("hlcs",), [["La1", "Ta1", None]]),
-    "hlcs-entry-not-a-list": (("hlcs",), ["La1"]),
-    "hlcs-not-a-list": (("hlcs",), "La1"),
 }
 
 
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_snapshot_is_refused(corner_cb, tiny_taxonomies, name):
-    corner_cb.mark_hlcs(Situation("La1", "Ta1", "Sa1"))
     corner_cb.weights.record((0.5, 1.0, 0.25))
     doc = corner_cb.to_snapshot()
     (*parents, last), value = MALFORMED[name]
@@ -207,10 +189,9 @@ def test_malformed_snapshot_is_refused(corner_cb, tiny_taxonomies, name):
         CaseBase.from_snapshot(doc, tiny_taxonomies)
 
 
-@pytest.mark.parametrize("path", [("cases", 1, "situation"), ("hlcs", 0)])
+@pytest.mark.parametrize("path", [("cases", 1, "situation")])
 def test_snapshot_with_unknown_concept_is_refused(corner_cb, tiny_taxonomies,
                                                   path):
-    corner_cb.mark_hlcs(Situation("La1", "Ta1", "Sa1"))
     doc = corner_cb.to_snapshot()
     entry = doc
     for key in path:
@@ -220,8 +201,8 @@ def test_snapshot_with_unknown_concept_is_refused(corner_cb, tiny_taxonomies,
         CaseBase.from_snapshot(doc, tiny_taxonomies)
 
 
-#: A snapshot in the earlier format, whose docs also carry `reading_time`
-#: and `rating`.
+#: A snapshot in an earlier format, whose docs also carry `reading_time`
+#: and `rating`, next to the former `hlcs` list of critical situations.
 READING_TIME_SNAPSHOT = """{"cases": [
  {"docs": [{"clicks": 2, "doc_id": "d1", "impressions": 3, "rating": 3,
             "reading_time": 5.25},
@@ -244,13 +225,11 @@ def test_snapshot_with_reading_time_and_rating_loads(tiny_taxonomies):
         {"d3": DocumentStats("d3", 1, 0)}))
     cb.update_preferences(first, UserPreferences(
         {"d1": DocumentStats("d1", 1, 2)}))
-    cb.mark_hlcs(first)
     cb.weights.record((0.5, 1.0, 0.25))
     back = CaseBase.from_snapshot(json.loads(READING_TIME_SNAPSHOT),
                                   tiny_taxonomies)
     assert back.to_snapshot() == cb.to_snapshot()
     assert back.case_of == cb.case_of
-    assert back.hlcs == cb.hlcs
     for mine, theirs in zip(cb.cases, back.cases):
         assert mine.prefs.docs == theirs.prefs.docs
 

@@ -5,6 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from situbandit.bandit import Branch
 from situbandit.cli import CONFIG_KEYS, main
 
 TINY_WORLD = {
@@ -260,7 +261,8 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
     ("tune-epsilon", "slate_size", 2.5),
     ("cluster-eval", "nc", 2.5),
     ("cluster-eval", "seed", "s"),
-    ("simulate", "cold_start_fallback", "no"),
+    # one setting, not two arms
+    ("tune-epsilon", "h_epsilon", [0.5, 0.5]),
     # one integer rule: a whole float is not an integer, for any key
     ("simulate", "iterations", 200.0),
     ("cluster-eval", "nc", 3.0),
@@ -291,14 +293,16 @@ def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
 def test_unknown_config_key_is_refused(runner, tmp_path):
     world_path, _ = gen_world(runner, tmp_path)
     cfg = tmp_path / "typo.yaml"
-    write_config(cfg, dict(FAST_RUN, epsilom=1.0))
     out = tmp_path / "o.tsv"
-    res = runner.invoke(main, ["simulate", "--config", str(cfg),
-                               "--world", str(world_path),
-                               "--out", str(out)])
-    assert res.exit_code == 1, res.output
-    assert "Error: unknown config keys: epsilom" in res.output
-    assert not out.exists()
+    # a misspelt key, and a retired one
+    for key, value in (("epsilom", 1.0), ("cold_start_fallback", False)):
+        write_config(cfg, dict(FAST_RUN, **{key: value}))
+        res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                   "--world", str(world_path),
+                                   "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert f"Error: unknown config keys: {key}" in res.output
+        assert not out.exists()
 
 
 def test_readme_lists_every_config_key():
@@ -309,6 +313,14 @@ def test_readme_lists_every_config_key():
               if row.startswith("| `")
               for key in row.split("|")[1].split("`")[1::2]]
     assert sorted(listed) == sorted(CONFIG_KEYS)
+
+
+def test_readme_names_every_branch():
+    # README's report-TSV line spells out the header `simulate` writes
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    header = text.split("- **report TSV** (`simulate`) — `")[1].split("`")[0]
+    assert header.split() == ["iteration", "avg_ctr",
+                              *[b.value for b in Branch]]
 
 
 @pytest.mark.parametrize("command, key, entry", [
