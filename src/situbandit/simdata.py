@@ -1,14 +1,15 @@
 """Synthetic diary world and offline replay evaluation.
 
 The generator builds three balanced concept taxonomies, plants situation
-groups around distinct leaf-triple prototypes (intra-group situations
-perturb one dimension to a sibling or parent concept), and assigns each
-group a sparse set of high-affinity documents against a low-affinity
-background. Documents preferred by one group are mildly disliked by the
-others, so exploiting a mismatched case is worse than showing a random
-slate. Replay draws situations from the occurrence multiset, samples
-clicks from the ground-truth affinities, and reports cumulative average
-CTR every report period.
+groups around well-separated leaf-triple prototypes (a group takes its
+prototype's one-step neighbours, then grows by one-step walks from its
+members; every situation is distinct, or the config is refused), and
+assigns each group a sparse set of high-affinity documents against a
+low-affinity background. Documents preferred by one group are mildly
+disliked by the others, so exploiting a mismatched case is worse than
+showing a random slate. Replay draws situations from the occurrence
+multiset, samples clicks from the ground-truth affinities, and reports
+cumulative average CTR every report period.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ class WorldConfig:
     organic_browse: int = 5
     organic_good_bias: float = 0.4
     max_prototype_sim: float = 1.9
-    parent_perturb_prob: float = 0.3
-    second_perturb_prob: float = 0.0
     nav_entries_per_situation: int = 15
 
     def __post_init__(self):
@@ -66,10 +65,9 @@ class WorldConfig:
                      "nav_entries_per_situation"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"world config {name} must be >= 0")
-        for name in ("organic_good_bias", "parent_perturb_prob",
-                     "second_perturb_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"world config {name} must be in [0, 1]")
+        if not 0.0 <= self.organic_good_bias <= 1.0:
+            raise ConfigError(
+                "world config organic_good_bias must be in [0, 1]")
         for name in ("high_affinity", "background_affinity",
                      "foreign_affinity"):
             lo, hi = getattr(self, name)
@@ -194,6 +192,11 @@ class SyntheticWorld:
         return source
 
 
+#: Draws the generator takes before it refuses a config: candidates for one
+#: prototype, or already-taken situations in a row while a group grows.
+MAX_DRAWS = 2000
+
+
 def _sample_prototypes(leaves: Tuple[list, list, list], cfg: WorldConfig,
                        index: SituationIndex,
                        rng: np.random.Generator) -> List[Situation]:
@@ -201,11 +204,12 @@ def _sample_prototypes(leaves: Tuple[list, list, list], cfg: WorldConfig,
     encoded: List[Tuple[int, int, int]] = []
     for _ in range(cfg.groups):
         placed = False
-        for _attempt in range(2000):
+        for _attempt in range(MAX_DRAWS):
             cand = Situation(*(lv[int(rng.integers(len(lv)))] for lv in leaves))
             e = index.encode(cand)
-            ok = all(sum(index.per_dim_sims(e, other)) <= cfg.max_prototype_sim
-                     for other in encoded)
+            ok = cand not in protos and all(
+                sum(index.per_dim_sims(e, other)) <= cfg.max_prototype_sim
+                for other in encoded)
             if ok:
                 protos.append(cand)
                 encoded.append(e)
@@ -218,41 +222,84 @@ def _sample_prototypes(leaves: Tuple[list, list, list], cfg: WorldConfig,
     return protos
 
 
-def _perturb_dim(parts: List[str], dim: int, taxonomies: Taxonomies,
-                 cfg: WorldConfig, rng: np.random.Generator) -> None:
-    tax = taxonomies.as_tuple()[dim]
-    concept = parts[dim]
-    sibs = tax.siblings(concept)
-    if not sibs or rng.random() < cfg.parent_perturb_prob:
-        parts[dim] = tax.parent.get(concept, concept)
-    else:
-        parts[dim] = sibs[int(rng.integers(len(sibs)))]
+def _neighbours(tax: Taxonomy, concept: str) -> List[str]:
+    """The non-root concepts one step from `concept`: its siblings, its
+    children and its parent."""
+    out = tax.siblings(concept) + tax.children(concept)
+    parent = tax.parent[concept]
+    if parent != tax.root:
+        out.append(parent)
+    return out
 
 
-def _perturb(s: Situation, taxonomies: Taxonomies, cfg: WorldConfig,
-             rng: np.random.Generator) -> Situation:
-    parts = list(s.as_tuple())
-    dim = int(rng.integers(3))
-    _perturb_dim(parts, dim, taxonomies, cfg, rng)
-    if cfg.second_perturb_prob and rng.random() < cfg.second_perturb_prob:
-        other = int(rng.integers(3))
-        if other != dim:
-            _perturb_dim(parts, other, taxonomies, cfg, rng)
-    return Situation(*parts)
+def _grow_group(proto: Situation, taxes: Tuple[Taxonomy, ...], size: int,
+                seen: set, rng: np.random.Generator) -> List[Situation]:
+    """`size` situations, starting with `proto`, that `seen` did not hold
+    and now does: its one-step neighbours in one random order, then
+    one-step walks from random members. Raises ConfigError after
+    MAX_DRAWS taken walks in a row."""
+    members = [proto]
+    near = []
+    for dim in range(3):
+        for c in _neighbours(taxes[dim], proto.as_tuple()[dim]):
+            parts = list(proto.as_tuple())
+            parts[dim] = c
+            near.append(Situation(*parts))
+    for i in rng.permutation(len(near)):
+        if len(members) == size:
+            break
+        if near[i] not in seen:
+            seen.add(near[i])
+            members.append(near[i])
+    taken = 0
+    while len(members) < size:
+        parts = list(members[int(rng.integers(len(members)))].as_tuple())
+        dim = int(rng.integers(3))
+        options = _neighbours(taxes[dim], parts[dim])
+        parts[dim] = options[int(rng.integers(len(options)))]
+        cand = Situation(*parts)
+        if cand in seen:
+            taken += 1
+            if taken == MAX_DRAWS:
+                raise ConfigError(
+                    f"cannot find {size} distinct situations per group; "
+                    "grow the taxonomies or lower situations_per_group")
+        else:
+            taken = 0
+            seen.add(cand)
+            members.append(cand)
+    return members
 
 
 def _check_separation(world: SyntheticWorld) -> None:
-    enc = np.array([world.index.encode(s) for s in world.situations]).T
-    sim = world.index.pairwise_weighted(enc[0], enc[1], enc[2],
-                                        (1.0, 1.0, 1.0))
-    same = world.group_of[:, None] == world.group_of[None, :]
-    off_diag = ~np.eye(len(world.situations), dtype=bool)
-    intra = sim[same & off_diag]
-    inter = sim[~same]
-    if len(intra) and len(inter) and intra.mean() <= inter.mean():
+    """Refuse a world whose mean unweighted similarity between two
+    situations of one group is not above the mean between two groups.
+
+    With h_g the counts of group g's concepts in one dimension and M that
+    dimension's similarity matrix, the similarity summed over the pairs
+    of a situation in g and one in k is h_g . M . h_k, so the sums need
+    one groups x groups matrix per dimension and no situation pairs."""
+    groups = world.config.groups
+    codes = np.array([world.index.encode(s) for s in world.situations]).T
+    sums = np.zeros((groups, groups))
+    self_sum = 0.0
+    for m, c in zip(world.index.matrices, codes):
+        h = np.zeros((groups, len(m)))
+        np.add.at(h, (world.group_of, c), 1.0)
+        sums += h @ m @ h.T
+        self_sum += m[c, c].sum()
+    n = len(world.situations)
+    sizes = np.bincount(world.group_of, minlength=groups)
+    same_pairs = int((sizes ** 2).sum())
+    intra_pairs, inter_pairs = same_pairs - n, n * n - same_pairs
+    if not intra_pairs or not inter_pairs:
+        return
+    intra = (np.trace(sums) - self_sum) / intra_pairs
+    inter = (sums.sum() - np.trace(sums)) / inter_pairs
+    if intra <= inter:
         raise ConfigError(
             "generated world is not separable: mean intra-group similarity "
-            f"{intra.mean():.3f} <= inter-group {inter.mean():.3f}")
+            f"{intra:.3f} <= inter-group {inter:.3f}")
 
 
 def generate_world(cfg: WorldConfig, seed: int = 0) -> SyntheticWorld:
@@ -268,22 +315,10 @@ def generate_world(cfg: WorldConfig, seed: int = 0) -> SyntheticWorld:
     leaves = tuple(t.leaves() for t in taxonomies.as_tuple())
     prototypes = _sample_prototypes(leaves, cfg, index, rng)
 
-    situations: List[Situation] = []
-    group_of: List[int] = []
-    seen = set()
-    for g, proto in enumerate(prototypes):
-        members = [proto]
-        seen.add(proto)
-        while len(members) < cfg.situations_per_group:
-            cand = None
-            for _attempt in range(50):
-                cand = _perturb(proto, taxonomies, cfg, rng)
-                if cand not in seen:
-                    break
-            seen.add(cand)
-            members.append(cand)
-        situations.extend(members)
-        group_of.extend([g] * len(members))
+    seen = set(prototypes)
+    situations = [s for proto in prototypes
+                  for s in _grow_group(proto, taxonomies.as_tuple(),
+                                       cfg.situations_per_group, seen, rng)]
 
     width = len(str(cfg.docs - 1))
     doc_ids = [f"d{i:0{width}d}" for i in range(cfg.docs)]
@@ -304,7 +339,8 @@ def generate_world(cfg: WorldConfig, seed: int = 0) -> SyntheticWorld:
 
     world = SyntheticWorld(
         config=cfg, seed=seed, taxonomies=taxonomies, doc_ids=doc_ids,
-        situations=situations, group_of=np.asarray(group_of),
+        situations=situations,
+        group_of=np.repeat(np.arange(cfg.groups), cfg.situations_per_group),
         occurrences=np.full(len(situations), cfg.occurrences_per_situation),
         affinity=affinity, preferred=preferred, index=index)
     _check_separation(world)
@@ -491,19 +527,48 @@ def world_to_dict(world: SyntheticWorld) -> dict:
     }
 
 
+def _are_indices(values, bound: float) -> bool:
+    """Whether every value is an int, not a bool, in [0, bound)."""
+    return all(isinstance(v, int) and not isinstance(v, bool)
+               and 0 <= v < bound for v in values)
+
+
 def world_from_dict(doc: dict) -> SyntheticWorld:
+    """The world `world_to_dict` wrote; parts that do not fit together
+    (a situation listed twice, per-situation or per-group entries of the
+    wrong length, a group or document index out of range, a negative
+    occurrence budget) raise ParseError."""
     cfg = WorldConfig.from_dict(doc["config"])
     taxonomies = Taxonomies(*(
         taxonomy_from_dict(doc["taxonomies"][dim.value], dim)
         for dim in Dimension))
+    doc_ids = list(doc["doc_ids"])
+    situations = [Situation(*t) for t in doc["situations"]]
+    group_of = np.asarray(doc["group_of"])
+    occurrences = np.asarray(doc["occurrences"])
+    affinity = np.asarray(doc["affinity"])
+    preferred = [list(p) for p in doc["preferred"]]
+    n = len(situations)
+    if len(set(situations)) != n:
+        raise ParseError("a situation is listed twice")
+    if group_of.shape != (n,) or occurrences.shape != (n,):
+        raise ParseError(f"group_of and occurrences must list one entry "
+                         f"for each of the {n} situations")
+    if affinity.shape != (cfg.groups, len(doc_ids)) or \
+            len(preferred) != cfg.groups:
+        raise ParseError(f"affinity must be {cfg.groups} x {len(doc_ids)} "
+                         f"and preferred must hold {cfg.groups} lists")
+    if not _are_indices(group_of.tolist(), cfg.groups):
+        raise ParseError(f"group ids must be integers in [0, {cfg.groups})")
+    if not _are_indices(occurrences.tolist(), float("inf")):
+        raise ParseError("occurrence budgets must be integers >= 0")
+    if not _are_indices((d for p in preferred for d in p), len(doc_ids)):
+        raise ParseError(f"preferred documents must be integers in "
+                         f"[0, {len(doc_ids)})")
     return SyntheticWorld(
         config=cfg, seed=doc["seed"], taxonomies=taxonomies,
-        doc_ids=list(doc["doc_ids"]),
-        situations=[Situation(*t) for t in doc["situations"]],
-        group_of=np.asarray(doc["group_of"]),
-        occurrences=np.asarray(doc["occurrences"]),
-        affinity=np.asarray(doc["affinity"]),
-        preferred=[list(p) for p in doc["preferred"]])
+        doc_ids=doc_ids, situations=situations, group_of=group_of,
+        occurrences=occurrences, affinity=affinity, preferred=preferred)
 
 
 def save_world(world: SyntheticWorld, path: Union[str, Path]) -> None:

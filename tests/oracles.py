@@ -4,9 +4,13 @@ The package scores situations only through `SituationIndex`; these
 functions compute the same Wu-Palmer similarities one pair at a time.
 The package picks slates only from a map's maintained CTR ranking;
 `oracle_greedy_top_n` re-scores and re-sorts every candidate instead.
+The package checks a world's group separation from per-group concept
+counts; `separation_means` averages the full n x n similarity matrix.
 """
 
 from typing import List, Tuple
+
+import numpy as np
 
 from situbandit.ontology import wu_palmer
 from situbandit.situation import DimensionWeights, Situation, Taxonomies
@@ -47,3 +51,14 @@ def oracle_greedy_top_n(candidates, n: int) -> List[str]:
     doc id."""
     return sorted(candidates.docs,
                   key=lambda d: (-oracle_ctr(candidates.docs[d]), d))[:n]
+
+
+def separation_means(world) -> Tuple[float, float]:
+    """Mean unweighted similarity over ordered pairs of distinct situations
+    in one group of a `SyntheticWorld`, and over pairs in two groups."""
+    enc = np.array([world.index.encode(s) for s in world.situations]).T
+    sim = world.index.pairwise_weighted(enc[0], enc[1], enc[2],
+                                        (1.0, 1.0, 1.0))
+    same = world.group_of[:, None] == world.group_of[None, :]
+    off_diag = ~np.eye(len(world.situations), dtype=bool)
+    return float(sim[same & off_diag].mean()), float(sim[~same].mean())

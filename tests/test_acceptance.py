@@ -41,11 +41,11 @@ REPLAY_WORLD = WorldConfig(groups=10, situations_per_group=30, docs=400,
                            preferred_docs_per_group=10,
                            occurrences_per_situation=40)
 
-# Labeled noisy sample for the clustering-precision criterion: 10 groups
-# x 50 situations with a second perturbation on half the members.
+# Labeled sample for the clustering-precision criterion: 10 groups x 50
+# distinct situations. A group outgrows its prototype's one-step
+# neighbourhood, so most members sit two or more steps from it.
 SAMPLE_WORLD = WorldConfig(groups=10, situations_per_group=50, docs=200,
-                           preferred_docs_per_group=5,
-                           second_perturb_prob=0.5, max_prototype_sim=2.3)
+                           preferred_docs_per_group=5, max_prototype_sim=2.3)
 
 RECOUNTS = []  # (criterion, ok) from every replay run in criteria 5-7
 

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from situbandit.bandit import Branch
 from situbandit.cli import CONFIG_KEYS, main
+from situbandit.simdata import WorldConfig, generate_world, world_to_dict
 
 TINY_WORLD = {
     "groups": 3,
@@ -353,11 +354,43 @@ def test_bad_world_config_is_a_clean_error(runner, tmp_path, command, key,
     assert not out.exists()
 
 
+SAVED_WORLD = world_to_dict(generate_world(WorldConfig(**TINY_WORLD), 1))
+
+
+def edited_world(**edits):
+    """SAVED_WORLD as JSON text, with each named entry passed through its
+    edit function."""
+    doc = dict(SAVED_WORLD)
+    for key, edit in edits.items():
+        doc[key] = edit(doc[key])
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text", [
     '{"config": {}}',
     "not json",
     "[]",
     '{"config": {"colour": "red"}}',
+    pytest.param(edited_world(group_of=lambda g: g[:-1]),
+                 id="short-group-of"),
+    pytest.param(edited_world(occurrences=lambda o: o + [30]),
+                 id="long-occurrences"),
+    pytest.param(edited_world(affinity=lambda a: [r[:-1] for r in a]),
+                 id="narrow-affinity"),
+    pytest.param(edited_world(affinity=lambda a: a[:-1]),
+                 id="short-affinity"),
+    pytest.param(edited_world(group_of=lambda g: g[:-1] + [3]),
+                 id="group-id-too-large"),
+    pytest.param(edited_world(group_of=lambda g: [-1] + g[1:]),
+                 id="negative-group-id"),
+    pytest.param(edited_world(preferred=lambda p: [p[0][:-1] + [30]] + p[1:]),
+                 id="preferred-index-too-large"),
+    pytest.param(edited_world(situations=lambda s: s[:-1] + [s[0]]),
+                 id="situation-in-two-groups"),
+    pytest.param(edited_world(occurrences=lambda o: [-5] + o[1:]),
+                 id="negative-occurrences"),
+    pytest.param(edited_world(config=lambda c: dict(
+        c, parent_perturb_prob=0.3)), id="retired-perturbation-knob"),
 ])
 def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
     world_path = tmp_path / "world.json"

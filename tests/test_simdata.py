@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from situbandit.errors import (ConfigError, ExhaustedPool, LabelMismatch,
                                UnknownDoc, UnknownPolicy)
 from situbandit.ontology import Dimension
 from situbandit.simdata import (OraclePolicy, RandomPolicy, WorldConfig,
-                                balanced_taxonomy, build_policy,
-                                clustering_precision, export_diary,
-                                generate_world, load_world, replay_evaluate,
-                                save_world)
+                                _check_separation, balanced_taxonomy,
+                                build_policy, clustering_precision,
+                                export_diary, generate_world, load_world,
+                                replay_evaluate, save_world)
 from situbandit.situation import Situation
 
-from oracles import unweighted_similarity
+from oracles import separation_means, unweighted_similarity
 
 
 SMALL = WorldConfig(groups=4, situations_per_group=10, docs=30,
@@ -50,17 +51,18 @@ def test_config_validation():
                 # affinity ranges that are not 0 <= lo <= hi <= 1
                 {"occurrences_per_situation": -1},
                 {"nav_entries_per_situation": -1},
-                {"organic_good_bias": 1.5}, {"parent_perturb_prob": -0.2},
-                {"second_perturb_prob": 1.1},
+                {"organic_good_bias": 1.5},
                 {"high_affinity": (0.9, 0.5)}, {"high_affinity": (0.5, 1.7)},
                 {"background_affinity": (-0.01, 0.05)}):
         with pytest.raises(ConfigError):
             WorldConfig(**bad)
     # a mapping from a config file or world.json: lists stand for pairs,
-    # and a key that is not a field is refused
+    # and a key that is not a field is refused, the retired perturbation
+    # knobs included
     assert WorldConfig.from_dict({"high_affinity": [0.6, 0.8]}) == \
         WorldConfig(high_affinity=(0.6, 0.8))
-    for bad in ({"colour": "red"}, ["groups"]):
+    for bad in ({"colour": "red"}, ["groups"], {"parent_perturb_prob": 0.3},
+                {"second_perturb_prob": 0.0}):
         with pytest.raises(ConfigError):
             WorldConfig.from_dict(bad)
 
@@ -117,6 +119,71 @@ def test_group_lookup_and_errors(world):
     source = world.feedback_source(np.random.default_rng(0))
     with pytest.raises(UnknownDoc):
         source(world.situations[0], [world.doc_ids[0], "nope"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(2, 3),
+       st.integers(2, 3), st.floats(1.0, 3.0), st.integers(0, 2**16))
+def test_world_is_distinct_or_refused(groups, per_group, depth, branching,
+                                      max_sim, seed):
+    cfg = WorldConfig(groups=groups, situations_per_group=per_group,
+                      docs=groups, preferred_docs_per_group=1,
+                      taxonomy_depth=depth, branching=branching,
+                      max_prototype_sim=max_sim)
+    try:
+        world = generate_world(cfg, seed)
+    except ConfigError:
+        return
+    assert len(set(world.situations)) == len(world.situations) == \
+        groups * per_group
+    assert world.group_of.tolist() == \
+        [g for g in range(groups) for _ in range(per_group)]
+    roots = tuple(t.root for t in world.taxonomies.as_tuple())
+    assert not any(c in roots for s in world.situations
+                   for c in s.as_tuple())
+
+
+def test_world_larger_than_its_taxonomies_is_refused():
+    # depth 2, branching 2: 2 x 2 x 2 = 8 triples without a root concept
+    cfg = WorldConfig(groups=1, situations_per_group=9, docs=10,
+                      taxonomy_depth=2, branching=2)
+    with pytest.raises(ConfigError):
+        generate_world(cfg, seed=0)
+    cfg = dataclasses.replace(cfg, situations_per_group=8)
+    assert len(set(generate_world(cfg, seed=0).situations)) == 8
+
+
+GROWING_SHAPE = WorldConfig(groups=100, situations_per_group=40, docs=2000,
+                            taxonomy_depth=5, branching=4,
+                            occurrences_per_situation=5)
+
+
+def test_generation_memory_is_not_quadratic():
+    # 4000 situations: an n x n similarity matrix alone is 128 MB
+    tracemalloc.start()
+    try:
+        generate_world(GROWING_SHAPE, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_separation_check_matches_pairwise_means():
+    for cfg, seed in ((SMALL, 1), (SMALL, 5), (WorldConfig(
+            groups=10, situations_per_group=30, docs=400,
+            occurrences_per_situation=40), 1)):
+        world = generate_world(cfg, seed)
+        intra, inter = separation_means(world)
+        assert intra > inter
+        # the same situations with interleaved labels are not separable
+        mixed = dataclasses.replace(
+            world, group_of=np.arange(len(world.situations)) % cfg.groups)
+        intra, inter = separation_means(mixed)
+        assert intra <= inter
+        with pytest.raises(ConfigError, match=f"similarity {intra:.3f} <= "
+                           f"inter-group {inter:.3f}"):
+            _check_separation(mixed)
 
 
 def test_generation_is_deterministic():
@@ -239,11 +306,11 @@ def test_replay_is_deterministic(world):
 # clicks, branch) stream and the final average CTR.
 GOLDEN_STREAMS = {
     "clustering-eps-greedy": (
-        "58c8b525090e28779dacad4fc9ac5f1f6e5eb9b90467f52e4428d9b51d09b0c3",
-        0.2115),
+        "fd236672e4e167a86d29a50949d057c33bfd7f5b90d8ccfe22d9605973d0c540",
+        0.230875),
     "eps-greedy": (
-        "b7c33ad4eaea000d1f2c04ec101ae921335459cabebc2ab1802fe43b1d418192",
-        0.172375),
+        "e820e8692dfc5f54ddd815e13ca1b91ce423b685cd900039eacbd6723abe61b9",
+        0.17275),
 }
 
 
