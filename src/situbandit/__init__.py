@@ -9,8 +9,8 @@ from .casebase import (Case, CaseBase, DocumentStats, RetrievalResult,
                        UserPreferences)
 from .clustering import (ClusteringConfig, ClusteringResult,
                          cluster_situations, kmedoids)
-from .ontology import (Dimension, Taxonomy, depth, lcs, load_taxonomy,
-                       taxonomy_from_dict, taxonomy_to_dict, wu_palmer)
+from .ontology import (Dimension, Taxonomy, depth, lcs, taxonomy_from_dict,
+                       taxonomy_to_dict, wu_palmer)
 from .simdata import (EvalReport, OraclePolicy, RandomPolicy, SyntheticWorld,
                       WorldConfig, build_policy, clustering_precision,
                       export_diary, generate_world, load_world,

@@ -4,9 +4,9 @@ This is the paper's clustering-precision experiment (`situbandit
 cluster-eval`); the recommendation engine does not cluster. Medoids are
 actual situations (symbolic triples admit no mean vector). The core loop
 alternates similarity-maximizing assignment with medoid recomputation,
-with deterministic repair of emptied clusters, followed by greedy
-medoid-swap passes that escape the local optima a purely random
-initialization tends to land in.
+followed by greedy medoid-swap passes that escape the local optima a
+purely random initialization tends to land in. The medoids stay distinct
+and every cluster holds its own medoid, so no cluster is ever empty.
 """
 
 from __future__ import annotations
@@ -53,20 +53,6 @@ def _assign(sim: np.ndarray, medoids: np.ndarray) -> np.ndarray:
     # duplicate situations; self-similarity is never exceeded)
     labels[medoids] = np.arange(len(medoids))
     return labels
-
-
-def _repair_empty(sim: np.ndarray, medoids: np.ndarray,
-                  labels: np.ndarray) -> None:
-    """Reseed each emptied cluster with the worst-assigned situation."""
-    k = len(medoids)
-    for cid in range(k):
-        if np.any(labels == cid):
-            continue
-        assigned_sim = sim[np.arange(len(labels)), medoids[labels]]
-        assigned_sim[medoids] = np.inf  # keep existing medoids in place
-        worst = int(np.argmin(assigned_sim))
-        medoids[cid] = worst
-        labels[worst] = cid
 
 
 def _objective(sim: np.ndarray, medoids: np.ndarray,
@@ -116,7 +102,10 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
     """Cluster items given their full pairwise similarity matrix.
 
     `sim` must be symmetric: the swap refinement reads row c of `sim` as
-    the similarities to case c.
+    the similarities to case c. The medoids stay distinct: the first draw
+    is without replacement, each update picks a medoid from its own
+    cluster and the clusters are disjoint, and a swap never lands on
+    another medoid (see `_swap_refine`).
     """
     n = sim.shape[0]
     if n < cfg.num_clusters:
@@ -125,7 +114,6 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
     medoids = rng.choice(n, size=cfg.num_clusters, replace=False)
     trace: List[float] = []
     labels = _assign(sim, medoids)
-    _repair_empty(sim, medoids, labels)
     for _ in range(cfg.max_iterations):
         trace.append(_objective(sim, medoids, labels))
         new_medoids = medoids.copy()
@@ -133,15 +121,13 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
             members = np.flatnonzero(labels == cid)
             sub = sim[np.ix_(members, members)]
             new_medoids[cid] = members[int(np.argmax(sub.mean(axis=1)))]
-        new_labels = _assign(sim, new_medoids)
-        _repair_empty(sim, new_medoids, new_labels)
-        if np.array_equal(new_medoids, medoids) \
-                and np.array_equal(new_labels, labels):
+        # equal medoids give equal labels
+        if np.array_equal(new_medoids, medoids):
             break
-        medoids, labels = new_medoids, new_labels
+        medoids = new_medoids
+        labels = _assign(sim, medoids)
     if _swap_refine(sim, medoids, MAX_SWAP_PASSES):
         labels = _assign(sim, medoids)
-        _repair_empty(sim, medoids, labels)
         trace.append(_objective(sim, medoids, labels))
     # canonical cluster ids: order clusters by their medoid's case index
     order = np.argsort(medoids, kind="stable")

@@ -4,8 +4,6 @@ config value's kind."""
 import dataclasses
 from numbers import Integral, Real
 
-import numpy as np
-
 
 class SitubanditError(Exception):
     """Base class for all package errors."""
@@ -15,12 +13,8 @@ class ParseError(SitubanditError):
     """Malformed taxonomy, config or snapshot document."""
 
 
-class CycleError(SitubanditError):
-    """Taxonomy parent links form a loop."""
-
-
 class MultiRootError(SitubanditError):
-    """Taxonomy has zero or more than one root, or a node with two parents."""
+    """A concept listed twice in a taxonomy tree."""
 
 
 class UnknownConcept(SitubanditError):
@@ -60,7 +54,6 @@ def _is_number(value) -> bool:
 
 
 _KINDS = {
-    bool: ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
     int: ("an integer", lambda v: _is_number(v) and isinstance(v, Integral)),
     float: ("a number", _is_number),
     tuple: ("a pair of numbers", lambda v: isinstance(v, tuple)
@@ -69,9 +62,9 @@ _KINDS = {
 
 
 def check_kind(name: str, value, kind: type):
-    """`value`, if it is of `kind` (bool, int, float for a number, or tuple
-    for a pair of numbers), else raise ConfigError. Bools are not numbers
-    and whole floats are not integers; numpy scalars count as Python ones."""
+    """`value`, if it is of `kind` (int, float for a number, or tuple for a
+    pair of numbers), else raise ConfigError. Bools are not numbers and
+    whole floats are not integers; numpy scalars count as Python ones."""
     noun, ok = _KINDS[kind]
     if not ok(value):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")

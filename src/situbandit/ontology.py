@@ -7,13 +7,11 @@ root to the concept inclusive, so depth(root) == 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import CycleError, MultiRootError, ParseError, UnknownConcept
+from .errors import MultiRootError, ParseError, UnknownConcept
 
 
 class Dimension(str, Enum):
@@ -27,7 +25,10 @@ DIMENSIONS = (Dimension.LOCATION, Dimension.TIME, Dimension.SOCIAL)
 
 @dataclass
 class Taxonomy:
-    """Immutable rooted tree of concepts for one context dimension."""
+    """Immutable rooted tree of concepts for one context dimension.
+
+    Every concept but the root has a parent, and parent links lead to the
+    root without a loop, as `taxonomy_from_dict` builds them."""
 
     dimension: Dimension
     root: str
@@ -49,22 +50,14 @@ class Taxonomy:
     def _root_path(self, c: str) -> list:
         """Path from the root down to c, inclusive."""
         path = [c]
-        seen = {c}
         while path[-1] != self.root:
-            nxt = self.parent[path[-1]]
-            if nxt in seen:
-                raise CycleError(f"parent loop through {nxt!r}")
-            seen.add(nxt)
-            path.append(nxt)
+            path.append(self.parent[path[-1]])
         path.reverse()
         return path
 
     @property
     def nodes(self) -> Iterable[str]:
         return self.labels.keys()
-
-    def __contains__(self, concept_id: str) -> bool:
-        return concept_id in self.labels
 
     def check(self, concept_id: str) -> None:
         if concept_id not in self.labels:
@@ -115,8 +108,8 @@ def wu_palmer(t: Taxonomy, a: str, b: str) -> float:
     return 2.0 * depth(t, lcs(t, a, b)) / (depth(t, a) + depth(t, b))
 
 
-def _walk(node: Mapping, dimension: Dimension, parent_id: Optional[str],
-          parent: dict, labels: dict) -> None:
+def _walk(node: Mapping, parent_id: Optional[str], parent: dict,
+          labels: dict) -> None:
     if not isinstance(node, Mapping) or "id" not in node:
         raise ParseError(f"taxonomy node must be a mapping with an 'id': {node!r}")
     cid = node["id"]
@@ -128,48 +121,17 @@ def _walk(node: Mapping, dimension: Dimension, parent_id: Optional[str],
     if parent_id is not None:
         parent[cid] = parent_id
     for child in node.get("children", []):
-        _walk(child, dimension, cid, parent, labels)
+        _walk(child, cid, parent, labels)
 
 
 def taxonomy_from_dict(doc: Mapping, dimension: Union[Dimension, str]) -> Taxonomy:
-    """Build a Taxonomy from a nested {id, label, children} tree or a flat
-    {"nodes": [{id, label, parent}]} listing."""
+    """Build a Taxonomy from a nested {id, label, children} tree."""
     dimension = Dimension(dimension)
     parent: dict = {}
     labels: dict = {}
-    if "nodes" in doc:
-        roots = []
-        for node in doc["nodes"]:
-            if not isinstance(node, Mapping) or "id" not in node:
-                raise ParseError(f"node must be a mapping with an 'id': {node!r}")
-            cid = node["id"]
-            if cid in labels:
-                raise ParseError(f"duplicate concept id {cid!r}")
-            labels[cid] = node.get("label", cid)
-            if node.get("parent") is None:
-                roots.append(cid)
-            else:
-                parent[cid] = node["parent"]
-        if len(roots) != 1:
-            raise MultiRootError(f"expected exactly one root, found {roots!r}")
-        root = roots[0]
-        for cid, pid in parent.items():
-            if pid not in labels:
-                raise ParseError(f"unknown parent {pid!r} of {cid!r}")
-    else:
-        _walk(doc, dimension, None, parent, labels)
-        root = doc["id"]
-    return Taxonomy(dimension=dimension, root=root, parent=parent,
+    _walk(doc, None, parent, labels)
+    return Taxonomy(dimension=dimension, root=doc["id"], parent=parent,
                     labels=labels)
-
-
-def load_taxonomy(source: Union[str, Path], dimension: Union[Dimension, str]) -> Taxonomy:
-    """Load one taxonomy from a JSON file holding a nested concept tree."""
-    try:
-        doc = json.loads(Path(source).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot parse taxonomy file {source}: {exc}") from exc
-    return taxonomy_from_dict(doc, dimension)
 
 
 def taxonomy_to_dict(t: Taxonomy) -> dict:

@@ -27,8 +27,8 @@ from .bandit import (BanditConfig, Branch, FeedbackSource,
                      RecommendationEngine, TrialRecord, random_slate, step)
 from .casebase import DocumentStats, UserPreferences
 from .errors import (ConfigError, ExhaustedPool, LabelMismatch, ParseError,
-                     SitubanditError, UnknownDoc, UnknownPolicy, check_fields,
-                     check_kind)
+                     SitubanditError, UnknownConcept, UnknownDoc,
+                     UnknownPolicy, check_fields, check_kind)
 from .ontology import Dimension, Taxonomy, taxonomy_from_dict, taxonomy_to_dict
 from .simindex import SituationIndex
 from .situation import Situation, Taxonomies
@@ -535,9 +535,10 @@ def _are_indices(values, bound: float) -> bool:
 
 def world_from_dict(doc: dict) -> SyntheticWorld:
     """The world `world_to_dict` wrote; parts that do not fit together
-    (a situation listed twice, per-situation or per-group entries of the
-    wrong length, a group or document index out of range, a negative
-    occurrence budget) raise ParseError."""
+    (a situation listed twice or naming a concept its taxonomy lacks,
+    per-situation or per-group entries of the wrong length, a group or
+    document index out of range, a negative occurrence budget, an affinity
+    that is not a probability, an empty preferred list) raise ParseError."""
     cfg = WorldConfig.from_dict(doc["config"])
     taxonomies = Taxonomies(*(
         taxonomy_from_dict(doc["taxonomies"][dim.value], dim)
@@ -565,10 +566,23 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
     if not _are_indices((d for p in preferred for d in p), len(doc_ids)):
         raise ParseError(f"preferred documents must be integers in "
                          f"[0, {len(doc_ids)})")
+    if not all(preferred):
+        raise ParseError("each group's preferred list must be non-empty")
+    if affinity.dtype.kind not in "iuf" or \
+            not np.all((affinity >= 0.0) & (affinity <= 1.0)):
+        raise ParseError("affinities must be numbers in [0, 1]")
+    index = SituationIndex(taxonomies)
+    try:
+        for s in situations:
+            index.encode(s)
+    except UnknownConcept as exc:
+        raise ParseError(f"situation {s} names an unknown concept: "
+                         f"{exc}") from exc
     return SyntheticWorld(
         config=cfg, seed=doc["seed"], taxonomies=taxonomies,
         doc_ids=doc_ids, situations=situations, group_of=group_of,
-        occurrences=occurrences, affinity=affinity, preferred=preferred)
+        occurrences=occurrences, affinity=affinity, preferred=preferred,
+        index=index)
 
 
 def save_world(world: SyntheticWorld, path: Union[str, Path]) -> None:

@@ -53,8 +53,14 @@ class SituationIndex:
             for t, order in zip(taxonomies.as_tuple(), orders))
 
     def encode(self, s: Situation) -> Tuple[int, int, int]:
-        self.taxonomies.validate(s)
-        return tuple(ix[c] for ix, c in zip(self.index_of, s.as_tuple()))
+        """The concept indices of `s`; a concept that is not in its
+        taxonomy raises UnknownConcept."""
+        try:
+            return tuple(ix[c] for ix, c in zip(self.index_of, s.as_tuple()))
+        except KeyError:
+            for tax, c in zip(self.taxonomies.as_tuple(), s.as_tuple()):
+                tax.check(c)  # raises for the first missing concept
+            raise
 
     def per_dim_sims(self, a: Sequence[int],
                      b: Sequence[int]) -> Tuple[float, float, float]:

@@ -48,10 +48,6 @@ class Taxonomies:
     def as_tuple(self) -> Tuple[Taxonomy, Taxonomy, Taxonomy]:
         return (self.location, self.time, self.social)
 
-    def validate(self, s: Situation) -> None:
-        for tax, cid in zip(self.as_tuple(), s.as_tuple()):
-            tax.check(cid)
-
 
 @dataclass
 class DimensionWeights:

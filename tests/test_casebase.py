@@ -315,6 +315,24 @@ index_ops = st.lists(st.one_of(
     min_size=20, max_size=80)
 
 
+def test_case_base_grows_past_its_initial_arrays():
+    # 274 distinct situations: the encoded arrays double from 64 columns
+    # to 128, 256 and 512. The other 69 are not stored, so retrieving them
+    # scans every row.
+    absent = SITUATIONS[::5]
+    stored = [s for s in SITUATIONS if s not in absent]
+    cb = CaseBase(TAXONOMIES, index=INDEX)
+    cb.weights.record((0.5, 1.0, 0.25))
+    for s in stored:
+        cb.update_preferences(s, prefs(d1=1))
+    assert [c.situation for c in cb.cases] == stored
+    assert [cb.encoded.row(i) for i in range(len(cb))] == \
+        [INDEX.encode(s) for s in stored]
+    for query in absent:
+        got = cb.retrieve(query)
+        assert got.case_index == oracle_nearest(query, cb.cases, cb.weights)
+
+
 @given(index_ops)
 def test_case_index_matches_scalar_oracle(ops):
     cb = CaseBase(TAXONOMIES, index=INDEX)

@@ -306,6 +306,27 @@ def test_unknown_config_key_is_refused(runner, tmp_path):
         assert not out.exists()
 
 
+def test_config_file_must_hold_a_mapping(runner, tmp_path):
+    # an empty file runs with the defaults, as no file does
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    outputs = []
+    for config in ([], ["--config", str(empty)]):
+        out = tmp_path / f"clusters{len(config)}.tsv"
+        res = runner.invoke(main, ["cluster-eval", *config, "--grid", "1",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    listing = tmp_path / "list.yaml"
+    write_config(listing, ["nc", 3])
+    res = runner.invoke(main, ["cluster-eval", "--config", str(listing),
+                               "--out", str(tmp_path / "o.tsv")])
+    assert res.exit_code == 1, res.output
+    assert "Error:" in res.output and "must hold a mapping" in res.output
+    assert not (tmp_path / "o.tsv").exists()
+
+
 def test_readme_lists_every_config_key():
     # the first cell of each row of README's config-key table names keys
     text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -391,6 +412,17 @@ def edited_world(**edits):
                  id="negative-occurrences"),
     pytest.param(edited_world(config=lambda c: dict(
         c, parent_perturb_prob=0.3)), id="retired-perturbation-knob"),
+    pytest.param(edited_world(affinity=lambda a: [[str(x) for x in r]
+                                                  for r in a]),
+                 id="affinity-as-strings"),
+    pytest.param(edited_world(affinity=lambda a: [[7.5] + a[0][1:]] + a[1:]),
+                 id="affinity-above-one"),
+    pytest.param(edited_world(affinity=lambda a: [[float("nan")] + a[0][1:]]
+                              + a[1:]), id="affinity-nan"),
+    pytest.param(edited_world(preferred=lambda p: [[]] + p[1:]),
+                 id="empty-preferred"),
+    pytest.param(edited_world(situations=lambda s: [["Nowhere", *s[0][1:]]]
+                              + s[1:]), id="unknown-concept"),
 ])
 def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
     world_path = tmp_path / "world.json"

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from situbandit.errors import (CycleError, MultiRootError, ParseError,
-                               UnknownConcept)
-from situbandit.ontology import (Dimension, depth, lcs, load_taxonomy,
-                                 taxonomy_from_dict, taxonomy_to_dict,
-                                 wu_palmer)
+from situbandit.errors import MultiRootError, ParseError, UnknownConcept
+from situbandit.ontology import (Dimension, depth, lcs, taxonomy_from_dict,
+                                 taxonomy_to_dict, wu_palmer)
 from situbandit.simindex import concept_similarity_matrix
 
 from conftest import brute_force_wu_palmer, chain, random_tree
@@ -36,20 +34,6 @@ def test_node_under_two_parents_rejected():
         taxonomy_from_dict(doc, Dimension.LOCATION)
 
 
-def test_flat_format_multi_root():
-    doc = {"nodes": [{"id": "a"}, {"id": "b"}]}
-    with pytest.raises(MultiRootError):
-        taxonomy_from_dict(doc, Dimension.LOCATION)
-
-
-def test_flat_format_cycle():
-    doc = {"nodes": [{"id": "root"},
-                     {"id": "a", "parent": "b"},
-                     {"id": "b", "parent": "a"}]}
-    with pytest.raises(CycleError):
-        taxonomy_from_dict(doc, Dimension.LOCATION)
-
-
 def test_malformed_document():
     with pytest.raises(ParseError):
         taxonomy_from_dict({"nodes": ["not-a-mapping"]}, Dimension.TIME)
@@ -57,20 +41,23 @@ def test_malformed_document():
         taxonomy_from_dict({"label": "no id here"}, Dimension.TIME)
 
 
-def test_load_taxonomy_file_roundtrip(tmp_path, france_tax):
-    path = tmp_path / "loc.json"
-    path.write_text(json.dumps(taxonomy_to_dict(france_tax)))
-    loaded = load_taxonomy(path, Dimension.LOCATION)
+@pytest.mark.parametrize("doc", [
+    {"id": ""},
+    {"id": 3},
+    {"id": "Any", "children": [{"id": None}]},
+    {"id": "Any", "children": [{"id": "France", "children": [{"id": ""}]}]},
+])
+def test_concept_id_must_be_a_nonempty_string(doc):
+    with pytest.raises(ParseError, match="non-empty string"):
+        taxonomy_from_dict(doc, Dimension.LOCATION)
+
+
+def test_taxonomy_json_roundtrip(france_tax):
+    text = json.dumps(taxonomy_to_dict(france_tax))
+    loaded = taxonomy_from_dict(json.loads(text), Dimension.LOCATION)
     assert loaded.root == france_tax.root
     assert loaded.parent == france_tax.parent
     assert loaded.labels == france_tax.labels
-
-
-def test_load_taxonomy_parse_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_taxonomy(bad, Dimension.LOCATION)
 
 
 def test_depth_unknown_concept(france_tax):

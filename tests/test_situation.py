@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from situbandit.errors import UnknownConcept
+from situbandit.errors import ConfigError, UnknownConcept
 from situbandit.ontology import Dimension
 from situbandit.situation import (DimensionWeights, Situation, Taxonomies,
                                   is_exact_match)
@@ -25,6 +25,13 @@ def taxonomies():
     return Taxonomies(chain(Dimension.LOCATION, "Any", "A", "B"),
                       two_level(Dimension.TIME, "T"),
                       two_level(Dimension.SOCIAL, "S"))
+
+
+def test_taxonomy_in_the_wrong_slot_is_refused():
+    with pytest.raises(ConfigError, match="slot time has dimension social"):
+        Taxonomies(two_level(Dimension.LOCATION, "L"),
+                   two_level(Dimension.SOCIAL, "S"),
+                   two_level(Dimension.SOCIAL, "S"))
 
 
 def test_identical_situations(taxonomies):
