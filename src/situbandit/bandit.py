@@ -97,11 +97,12 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
     if not candidates:
         raise EmptyCandidates("epsilon_greedy needs a non-empty candidate set")
     ranking = candidates.ranking()
+    random = rng.random
     slate: List[str] = []
     taken: List[int] = []  # picked positions in `ranking`, ascending
     for picked in range(min(n, len(ranking))):
         pos = 0
-        if rng.random() <= epsilon:
+        if random() <= epsilon:
             pos = int(rng.integers(len(ranking) - picked))
         # the pos-th untaken position: shift past every taken one <= it
         for p in taken:

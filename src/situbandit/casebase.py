@@ -7,8 +7,9 @@ weighted similarity. Preference maintenance merges feedback into the case
 stored for the situation or inserts a new case.
 
 Each preference map also owns the CTR ranking that slate selection reads:
-`DocumentStats.ctr` is the one CTR definition, and a map builds its ranking
-on the first read and keeps it current in `merge` after that.
+`_ctr` is the one CTR definition (`DocumentStats.ctr` reads it), and a map
+builds its ranking on the first read and keeps it current in `merge`
+after that.
 """
 
 from __future__ import annotations
@@ -19,11 +20,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from .errors import ParseError
 from .simindex import EncodedSituations, SituationIndex
-from .situation import DimensionWeights, Situation, Taxonomies
+from .situation import (DimensionWeights, Situation, Taxonomies,
+                        unweighted_sum)
+
+
+def _ctr(clicks: int, impressions: int) -> float:
+    """Empirical click-through rate; zero-impression documents score 0,
+    and clicks are capped at impressions (organic clicks never push the
+    rate above 1)."""
+    if impressions <= 0:
+        return 0.0
+    return clicks / impressions if clicks < impressions else 1.0
 
 
 @dataclass
@@ -35,24 +44,13 @@ class DocumentStats:
     clicks: int = 0
     impressions: int = 0
 
-    def merge(self, other: "DocumentStats") -> None:
-        """Add the other document's counters to these."""
-        self.clicks += other.clicks
-        self.impressions += other.impressions
-
     def copy(self) -> "DocumentStats":
         return DocumentStats(self.doc_id, self.clicks, self.impressions)
 
     @property
     def ctr(self) -> float:
-        """Empirical click-through rate; zero-impression documents score 0,
-        and clicks are capped at impressions (organic clicks never push the
-        rate above 1)."""
-        impressions = self.impressions
-        if impressions <= 0:
-            return 0.0
-        clicks = self.clicks
-        return clicks / impressions if clicks < impressions else 1.0
+        """The document's click-through rate (see `_ctr`)."""
+        return _ctr(self.clicks, self.impressions)
 
 
 #: A map's CTR ranking: its (-ctr, doc_id) keys in ascending order (best
@@ -64,10 +62,11 @@ class UserPreferences:
     """Map of doc_id -> DocumentStats, with a CTR ranking derived from it.
 
     `docs` is the only source of truth. The ranking, one sorted list of
-    `(-ctr, doc_id)` keys, is built on the first call to `ranking()` and
-    `merge` keeps it current from then on, so after the first slate read
-    from a map its `docs` may change only through `merge`. Maps that are
-    only merged from (feedback) never build one.
+    `(-ctr, doc_id)` keys with the CTR of `_ctr`, is built on the first
+    call to `ranking()` and `merge` keeps it current from then on, so
+    after the first slate read from a map its `docs` may change only
+    through `merge`. Maps that are only merged from (feedback) never build
+    one.
     """
 
     def __init__(self, docs: Optional[Dict[str, DocumentStats]] = None):
@@ -81,20 +80,24 @@ class UserPreferences:
         return self._ranking
 
     def merge(self, other: "UserPreferences") -> None:
+        """Add the other map's counters to these; a ranking already built
+        moves each changed key once."""
         docs = self.docs
         keys = self._ranking
         for doc_id, stats in other.docs.items():
             mine = docs.get(doc_id)
             if mine is None:
-                mine = docs[doc_id] = stats.copy()
+                docs[doc_id] = stats.copy()
                 if keys is not None:
-                    insort(keys, (-mine.ctr, doc_id))
-            elif keys is None:
-                mine.merge(stats)
-            else:
-                old = -mine.ctr
-                mine.merge(stats)
-                new = -mine.ctr
+                    insort(keys, (-_ctr(stats.clicks, stats.impressions),
+                                  doc_id))
+                continue
+            clicks, impressions = mine.clicks, mine.impressions
+            mine.clicks = clicks + stats.clicks
+            mine.impressions = impressions + stats.impressions
+            if keys is not None:
+                old = -_ctr(clicks, impressions)
+                new = -_ctr(mine.clicks, mine.impressions)
                 if new != old:
                     del keys[bisect_left(keys, (old, doc_id))]
                     insort(keys, (new, doc_id))
@@ -123,7 +126,7 @@ class RetrievalResult:
 
     @property
     def unweighted_sim(self) -> float:
-        return sum(self.per_dim_sims)
+        return unweighted_sum(self.per_dim_sims)
 
 
 def _field(doc, key: str, kind: type, what: str):
@@ -196,7 +199,7 @@ class CaseBase:
         enc = self.encoded
         sims = self.index.weighted_to_many(q, enc.loc, enc.tim, enc.soc,
                                            self.weights.alpha)
-        best = int(np.argmax(sims))
+        best = int(sims.argmax())
         per_dim = self.index.per_dim_sims(q, enc.row(best))
         return RetrievalResult(best, self.cases[best], per_dim)
 

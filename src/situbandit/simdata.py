@@ -31,7 +31,7 @@ from .errors import (ConfigError, ExhaustedPool, LabelMismatch, ParseError,
                      UnknownPolicy, check_fields, check_kind)
 from .ontology import Dimension, Taxonomy, taxonomy_from_dict, taxonomy_to_dict
 from .simindex import SituationIndex
-from .situation import Situation, Taxonomies
+from .situation import Situation, Taxonomies, unweighted_sum
 
 
 @dataclass
@@ -153,15 +153,19 @@ class SyntheticWorld:
         impressions, if its click test passes.
 
         Each call draws a fixed schedule of four array calls: the slate's
-        click tests `rng.random(len(slate))`, then for the b visits the
-        preferred-set tests `rng.random(b)`, the picks
-        `rng.integers(np.where(good, len(mine), n_docs))` and the click
-        tests `rng.random(b)`. A slate document that is not in the world
-        raises `UnknownDoc` before anything is drawn.
+        click tests `rng.random(len(slate))`; then, for the b visits, the
+        preferred-set tests `rng.random(b)`, one `rng.integers(bounds)`
+        call whose b exclusive bounds are `len(mine)` for a visit that
+        passed its preferred-set test and `n_docs` for the others, and the
+        click tests `rng.random(b)`. A situation that is not in the world
+        raises `LabelMismatch`, and a slate document that is not in it
+        `UnknownDoc`, before anything is drawn.
         """
         affinity = self.affinity
         doc_ids = self.doc_ids
         doc_idx = self._doc_idx
+        situation_idx = self._situation_idx
+        group_of = self.group_of.tolist()
         preferred = self.preferred
         n_docs = len(doc_ids)
         visits = self.config.organic_browse
@@ -170,7 +174,10 @@ class SyntheticWorld:
         integers = rng.integers
 
         def source(s: Situation, slate: List[str]) -> UserPreferences:
-            group = self.group_of_situation(s)
+            try:
+                group = group_of[situation_idx[s]]
+            except KeyError:
+                group = self.group_of_situation(s)  # raises LabelMismatch
             row = affinity[group]
             try:
                 idx = [doc_idx[doc_id] for doc_id in slate]
@@ -180,9 +187,10 @@ class SyntheticWorld:
             docs = {doc_id: DocumentStats(doc_id, int(c), 1)
                     for doc_id, c in zip(slate, clicked)}
             mine = preferred[group]
-            good = random(visits) < good_bias
-            picks = integers(np.where(good, len(mine), n_docs)).tolist()
-            for g, k, u in zip(good.tolist(), picks, random(visits).tolist()):
+            good = (random(visits) < good_bias).tolist()
+            n_mine = len(mine)
+            picks = integers([n_mine if g else n_docs for g in good]).tolist()
+            for g, k, u in zip(good, picks, random(visits).tolist()):
                 di = mine[k] if g else k
                 doc_id = doc_ids[di]
                 if doc_id not in docs and u < row[di]:
@@ -208,7 +216,8 @@ def _sample_prototypes(leaves: Tuple[list, list, list], cfg: WorldConfig,
             cand = Situation(*(lv[int(rng.integers(len(lv)))] for lv in leaves))
             e = index.encode(cand)
             ok = cand not in protos and all(
-                sum(index.per_dim_sims(e, other)) <= cfg.max_prototype_sim
+                unweighted_sum(index.per_dim_sims(e, other))
+                <= cfg.max_prototype_sim
                 for other in encoded)
             if ok:
                 protos.append(cand)
@@ -535,10 +544,11 @@ def _are_indices(values, bound: float) -> bool:
 
 def world_from_dict(doc: dict) -> SyntheticWorld:
     """The world `world_to_dict` wrote; parts that do not fit together
-    (a situation listed twice or naming a concept its taxonomy lacks,
-    per-situation or per-group entries of the wrong length, a group or
-    document index out of range, a negative occurrence budget, an affinity
-    that is not a probability, an empty preferred list) raise ParseError."""
+    (a situation listed twice or naming a concept its taxonomy lacks, a
+    doc id that is not a string or is listed twice, per-situation or
+    per-group entries of the wrong length, a group or document index out
+    of range, a negative occurrence budget, an affinity that is not a
+    probability, an empty preferred list) raise ParseError."""
     cfg = WorldConfig.from_dict(doc["config"])
     taxonomies = Taxonomies(*(
         taxonomy_from_dict(doc["taxonomies"][dim.value], dim)
@@ -552,6 +562,10 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
     n = len(situations)
     if len(set(situations)) != n:
         raise ParseError("a situation is listed twice")
+    if not all(type(d) is str for d in doc_ids):
+        raise ParseError("doc ids must be strings")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise ParseError("a doc id is listed twice")
     if group_of.shape != (n,) or occurrences.shape != (n,):
         raise ParseError(f"group_of and occurrences must list one entry "
                          f"for each of the {n} situations")

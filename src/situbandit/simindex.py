@@ -5,6 +5,13 @@ vocabularies, so the engine and the clusterer can score thousands of
 situations with numpy indexing instead of per-pair tree walks. The
 scalar reference semantics live in the test suite (`tests/oracles.py`),
 which pins these lookups against them.
+
+Weighted scores scale a concept matrix (or one row of it) by alpha before
+gathering the stored situations' entries: `(a * m[q]).take(codes)` holds
+the same float products as `a * m[q, codes]`, since each entry is
+multiplied once either way, and the per-dimension terms are added in the
+same left-to-right order. The scaled gather only multiplies the small
+concept vocabulary instead of every stored situation.
 """
 
 from __future__ import annotations
@@ -64,25 +71,33 @@ class SituationIndex:
 
     def per_dim_sims(self, a: Sequence[int],
                      b: Sequence[int]) -> Tuple[float, float, float]:
-        return tuple(m[i, j] for m, i, j in zip(self.matrices, a, b))
+        """The three per-dimension similarities of `a` and `b`, as Python
+        floats."""
+        m0, m1, m2 = self.matrices
+        return (m0.item(a[0], b[0]), m1.item(a[1], b[1]),
+                m2.item(a[2], b[2]))
 
     def weighted_to_many(self, query: Sequence[int], loc: np.ndarray,
                          tim: np.ndarray, soc: np.ndarray,
                          alpha: Sequence[float]) -> np.ndarray:
-        """Weighted similarity of one encoded situation to arrays of others."""
+        """Weighted similarity of one encoded situation to arrays of others.
+
+        Equal, value for value, to `alpha[0] * m0[query[0], loc] + alpha[1]
+        * m1[query[1], tim] + alpha[2] * m2[query[2], soc]`: each concept
+        row is scaled before the gather (see the module docstring)."""
         m0, m1, m2 = self.matrices
-        return (alpha[0] * m0[query[0], loc]
-                + alpha[1] * m1[query[1], tim]
-                + alpha[2] * m2[query[2], soc])
+        out = (alpha[0] * m0[query[0]]).take(loc)
+        out += (alpha[1] * m1[query[1]]).take(tim)
+        out += (alpha[2] * m2[query[2]]).take(soc)
+        return out
 
     def pairwise_weighted(self, loc: np.ndarray, tim: np.ndarray,
                           soc: np.ndarray,
                           alpha: Sequence[float]) -> np.ndarray:
         """Full weighted similarity matrix among encoded situations."""
-        # scaling a concept matrix before the gather multiplies the same
-        # pairs of floats as scaling the gathered n x n block; the sum keeps
-        # its left-to-right order. The second and third terms are gathered
-        # a block of rows at a time, so only one n x n array is ever held.
+        # scaled before the gather, as in `weighted_to_many`. The second and
+        # third terms are gathered a block of rows at a time, so only one
+        # n x n array is ever held.
         m0, m1, m2 = (a * m for a, m in zip(alpha, self.matrices))
         out = m0.take(loc, 0).take(loc, 1)
         for start in range(0, len(loc), PAIRWISE_BLOCK_ROWS):
@@ -120,4 +135,5 @@ class EncodedSituations:
         return self._data[2, :self.size]
 
     def row(self, i: int) -> Tuple[int, int, int]:
-        return tuple(self._data[:, i])
+        """The `i`-th encoded situation, as Python ints."""
+        return tuple(self._data[:, i].tolist())

@@ -105,6 +105,14 @@ class DimensionWeights:
         return cls(sums=tuple(sums), count=count)
 
 
+def unweighted_sum(per_dim_sims: Sequence[float]) -> float:
+    """The unweighted similarity of three per-dimension similarities,
+    added left to right. Not `sum`, which compensates float rounding from
+    Python 3.12 on and would make threshold tests depend on the version."""
+    a, b, c = per_dim_sims
+    return a + b + c
+
+
 # perfbench reads this to count exact hits
 def is_exact_match(sim: float) -> bool:
     """Whether an unweighted similarity counts as sim == 3."""

@@ -1,7 +1,9 @@
 """Scalar reference implementations that tests compare the package to.
 
 The package scores situations only through `SituationIndex`; these
-functions compute the same Wu-Palmer similarities one pair at a time.
+functions compute the same Wu-Palmer similarities one pair at a time, and
+`weighted_to_many_reference` is its scan as first written, gathering the
+similarities before scaling them.
 The package picks slates only from a map's maintained CTR ranking;
 `oracle_greedy_top_n` re-scores and re-sorts every candidate instead.
 The package checks a world's group separation from per-group concept
@@ -36,6 +38,15 @@ def unweighted_similarity(s1: Situation, s2: Situation,
                           taxonomies: Taxonomies) -> float:
     """Plain sum of per-dimension similarities, in (0, 3]."""
     return sum(sim_per_dimension(s1, s2, taxonomies))
+
+
+def weighted_to_many_reference(index, query, loc, tim, soc,
+                               alpha) -> np.ndarray:
+    """`SituationIndex.weighted_to_many` gathering each dimension's
+    similarities first, then scaling and adding them."""
+    m0, m1, m2 = index.matrices
+    return (alpha[0] * m0[query[0], loc] + alpha[1] * m1[query[1], tim]
+            + alpha[2] * m2[query[2], soc])
 
 
 def oracle_ctr(ds) -> float:

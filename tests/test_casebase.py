@@ -1,17 +1,21 @@
 import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
+from situbandit.casebase import (CaseBase, DocumentStats, RetrievalResult,
+                                 UserPreferences)
 from situbandit.errors import ParseError, UnknownConcept
 from situbandit.ontology import Dimension
-from situbandit.simindex import SituationIndex
+from situbandit.simdata import balanced_taxonomy
+from situbandit.simindex import EncodedSituations, SituationIndex
 from situbandit.situation import Situation, Taxonomies
 
 from conftest import two_level
-from oracles import sim_per_dimension
+from oracles import sim_per_dimension, weighted_to_many_reference
 
 
 def prefs(**clicks):
@@ -20,8 +24,10 @@ def prefs(**clicks):
 
 
 def test_document_stats_merge_semantics():
-    a = DocumentStats("d1", clicks=2, impressions=5)
-    a.merge(DocumentStats("d1", clicks=3, impressions=4))
+    p = UserPreferences({"d1": DocumentStats("d1", clicks=2, impressions=5)})
+    p.merge(UserPreferences({"d1": DocumentStats("d1", clicks=3,
+                                                 impressions=4)}))
+    a = p.docs["d1"]
     assert (a.doc_id, a.clicks, a.impressions) == ("d1", 5, 9)
 
 
@@ -355,3 +361,44 @@ def test_case_index_matches_scalar_oracle(ops):
                               for i, c in enumerate(cb.cases)}
         assert len({c.situation for c in cb.cases}) == len(cb.cases)
         assert cb.encoded.size == len(cb.cases)
+
+
+# Three vocabulary sizes (40, 21 and 31 concepts), so a dimension read
+# from the wrong matrix or code array shows.
+WIDE_INDEX = SituationIndex(Taxonomies(
+    balanced_taxonomy(Dimension.LOCATION, 4, 3),
+    balanced_taxonomy(Dimension.TIME, 3, 4),
+    balanced_taxonomy(Dimension.SOCIAL, 5, 2)))
+wide_codes = st.tuples(*(st.integers(0, len(m) - 1)
+                         for m in WIDE_INDEX.matrices))
+positive_alpha = st.tuples(*[st.floats(min_value=1e-6, max_value=1e6)] * 3)
+
+
+@given(st.lists(wide_codes, min_size=1, max_size=200), wide_codes,
+       positive_alpha, st.data())
+def test_scan_equals_gather_then_scale(cases, query, alpha, data):
+    enc = EncodedSituations()
+    for c in cases:
+        enc.append(c)
+    got = WIDE_INDEX.weighted_to_many(query, enc.loc, enc.tim, enc.soc,
+                                      alpha)
+    want = weighted_to_many_reference(WIDE_INDEX, query, enc.loc, enc.tim,
+                                      enc.soc, alpha)
+    assert np.array_equal(got, want)
+    i = data.draw(st.integers(0, len(cases) - 1))
+    row = enc.row(i)
+    assert row == cases[i] and all(type(x) is int for x in row)
+    sims = WIDE_INDEX.per_dim_sims(query, row)
+    assert all(type(x) is float for x in sims)
+    assert sims == tuple(float(m[a, b])
+                         for m, a, b in zip(WIDE_INDEX.matrices, query, row))
+
+
+def test_unweighted_sim_adds_left_to_right():
+    # math.fsum rounds the exact sum once, and `sum` compensates its
+    # rounding from Python 3.12 on; the threshold test must see the plain
+    # left-to-right sum on every version.
+    a, b, c = 0.1, 0.2, 0.3
+    assert math.fsum((a, b, c)) != (a + b) + c
+    res = RetrievalResult(0, None, (a, b, c))
+    assert res.unweighted_sim == (a + b) + c

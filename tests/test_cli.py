@@ -423,6 +423,10 @@ def edited_world(**edits):
                  id="empty-preferred"),
     pytest.param(edited_world(situations=lambda s: [["Nowhere", *s[0][1:]]]
                               + s[1:]), id="unknown-concept"),
+    pytest.param(edited_world(doc_ids=lambda d: [d[0]] * len(d)),
+                 id="doc-ids-repeated"),
+    pytest.param(edited_world(doc_ids=lambda d: list(range(len(d)))),
+                 id="doc-ids-not-strings"),
 ])
 def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
     world_path = tmp_path / "world.json"
