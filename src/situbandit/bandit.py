@@ -11,7 +11,8 @@ engine.
 
 Slate selection reads the CTR ranking each preference map keeps current
 (`UserPreferences.ranking`), so a pick never re-scores or re-sorts the
-candidates.
+candidates: an exploit pick takes the ranking's first untaken position in
+O(1), and an explore pick walks only the explored positions past it.
 """
 
 from __future__ import annotations
@@ -91,26 +92,39 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
 
     Both kinds of pick read a position in the map's maintained ranking:
     exploit takes the first untaken position, explore the k-th untaken one
-    with k uniform. A pick costs O(n) for a slate of n instead of O(m) for
-    m candidates.
+    with k uniform. Every position below a cursor `first` is taken, and
+    `above` holds the explored positions past it, so an exploit pick costs
+    O(1) and an explore pick O(len(above)); a position drained from `above`
+    once `first` reaches it was paid for by the explore pick that put it
+    there. No pick costs O(m) for m candidates. Each pick draws one
+    `rng.random()`, and an explore pick one `rng.integers(m - picked)`
+    after it.
     """
     if not candidates:
         raise EmptyCandidates("epsilon_greedy needs a non-empty candidate set")
     ranking = candidates.ranking()
+    m = len(ranking)
     random = rng.random
     slate: List[str] = []
-    taken: List[int] = []  # picked positions in `ranking`, ascending
-    for picked in range(min(n, len(ranking))):
-        pos = 0
+    first = 0  # every position below it is taken
+    above: List[int] = []  # explored positions above `first`, ascending
+    for picked in range(min(n, m)):
+        pos = first
         if random() <= epsilon:
-            pos = int(rng.integers(len(ranking) - picked))
-        # the pos-th untaken position: shift past every taken one <= it
-        for p in taken:
-            if p > pos:
-                break
-            pos += 1
-        insort(taken, pos)
+            # the k-th untaken position: shift past every taken one <= it
+            pos += int(rng.integers(m - picked))
+            for p in above:
+                if p > pos:
+                    break
+                pos += 1
         slate.append(ranking[pos][1])
+        if pos == first:
+            first += 1
+            while above and above[0] == first:
+                del above[0]
+                first += 1
+        else:
+            insort(above, pos)
     return slate
 
 
@@ -128,15 +142,16 @@ class RecommendationEngine:
         self.rng = np.random.default_rng(self.config.seed)
 
     def recommend(self, situation: Situation) -> Recommendation:
+        cfg = self.config
         retrieval = self.casebase.retrieve(situation)
         if (retrieval is None
-                or retrieval.unweighted_sim < self.config.threshold_b
+                or retrieval.unweighted_sim < cfg.threshold_b
                 or not retrieval.case.prefs):
             return Recommendation(
-                random_slate(self.doc_pool, self.config.slate_size, self.rng),
+                random_slate(self.doc_pool, cfg.slate_size, self.rng),
                 Branch.COLD_START, retrieval)
-        slate = epsilon_greedy(retrieval.case.prefs, self.config.slate_size,
-                               self.config.epsilon, self.rng)
+        slate = epsilon_greedy(retrieval.case.prefs, cfg.slate_size,
+                               cfg.epsilon, self.rng)
         return Recommendation(slate, Branch.EPS_GREEDY, retrieval)
 
     def observe(self, situation: Situation, rec: Recommendation,
@@ -178,7 +193,7 @@ def step(policy, situation: Situation,
     rec = policy.recommend(situation)
     feedback = feedback_source(situation, rec.slate)
     docs = feedback.docs
-    clicks = {d: docs[d].clicks for d in rec.slate if docs[d].clicks}
+    clicks = {d: c for d in rec.slate if (c := docs[d].clicks)}
     policy.observe(situation, rec, feedback)
     return TrialRecord(situation, rec.slate, clicks, rec.branch)
 

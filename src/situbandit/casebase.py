@@ -76,28 +76,32 @@ class UserPreferences:
     def ranking(self) -> Ranking:
         """The map's CTR ranking; treat it as read-only."""
         if self._ranking is None:
-            self._ranking = sorted((-s.ctr, d) for d, s in self.docs.items())
+            self._ranking = sorted([(-_ctr(s.clicks, s.impressions), d)
+                                    for d, s in self.docs.items()])
         return self._ranking
 
     def merge(self, other: "UserPreferences") -> None:
         """Add the other map's counters to these; a ranking already built
         moves each changed key once."""
         docs = self.docs
+        get = docs.get
+        ctr = _ctr
         keys = self._ranking
         for doc_id, stats in other.docs.items():
-            mine = docs.get(doc_id)
+            mine = get(doc_id)
             if mine is None:
                 docs[doc_id] = stats.copy()
                 if keys is not None:
-                    insort(keys, (-_ctr(stats.clicks, stats.impressions),
+                    insort(keys, (-ctr(stats.clicks, stats.impressions),
                                   doc_id))
                 continue
             clicks, impressions = mine.clicks, mine.impressions
-            mine.clicks = clicks + stats.clicks
-            mine.impressions = impressions + stats.impressions
+            new_clicks = clicks + stats.clicks
+            new_impressions = impressions + stats.impressions
+            mine.clicks, mine.impressions = new_clicks, new_impressions
             if keys is not None:
-                old = -_ctr(clicks, impressions)
-                new = -_ctr(mine.clicks, mine.impressions)
+                old = -ctr(clicks, impressions)
+                new = -ctr(new_clicks, new_impressions)
                 if new != old:
                     del keys[bisect_left(keys, (old, doc_id))]
                     insort(keys, (new, doc_id))
@@ -195,12 +199,13 @@ class CaseBase:
         hit = self.case_of.get(current)
         if hit is not None:
             return RetrievalResult(hit, self.cases[hit], (1.0, 1.0, 1.0))
-        q = self.index.encode(current)
+        index = self.index
+        q = index.encode(current)
         enc = self.encoded
-        sims = self.index.weighted_to_many(q, enc.loc, enc.tim, enc.soc,
-                                           self.weights.alpha)
+        sims = index.weighted_to_many(q, enc.loc, enc.tim, enc.soc,
+                                      self.weights.alpha)
         best = int(sims.argmax())
-        per_dim = self.index.per_dim_sims(q, enc.row(best))
+        per_dim = index.per_dim_sims(q, enc.row(best))
         return RetrievalResult(best, self.cases[best], per_dim)
 
     # -- maintenance -------------------------------------------------------

@@ -183,7 +183,8 @@ class SyntheticWorld:
                 idx = [doc_idx[doc_id] for doc_id in slate]
             except KeyError as e:
                 raise UnknownDoc(e.args[0]) from None
-            clicked = (random(len(slate)) < row[idx]).tolist()
+            clicked = [u < row.item(i)
+                       for u, i in zip(random(len(slate)).tolist(), idx)]
             docs = {doc_id: DocumentStats(doc_id, int(c), 1)
                     for doc_id, c in zip(slate, clicked)}
             mine = preferred[group]
@@ -193,7 +194,7 @@ class SyntheticWorld:
             for g, k, u in zip(good, picks, random(visits).tolist()):
                 di = mine[k] if g else k
                 doc_id = doc_ids[di]
-                if doc_id not in docs and u < row[di]:
+                if doc_id not in docs and u < row.item(di):
                     docs[doc_id] = DocumentStats(doc_id, 1, 0)
             return UserPreferences(docs)
 
@@ -548,8 +549,12 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
     doc id that is not a string or is listed twice, per-situation or
     per-group entries of the wrong length, a group or document index out
     of range, a negative occurrence budget, an affinity that is not a
-    probability, an empty preferred list) raise ParseError."""
+    probability, an empty preferred list, a seed that is not an integer
+    >= 0) raise ParseError."""
     cfg = WorldConfig.from_dict(doc["config"])
+    seed = doc["seed"]
+    if type(seed) is not int or seed < 0:
+        raise ParseError(f"seed {seed!r} is not an integer >= 0")
     taxonomies = Taxonomies(*(
         taxonomy_from_dict(doc["taxonomies"][dim.value], dim)
         for dim in Dimension))
@@ -593,7 +598,7 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
         raise ParseError(f"situation {s} names an unknown concept: "
                          f"{exc}") from exc
     return SyntheticWorld(
-        config=cfg, seed=doc["seed"], taxonomies=taxonomies,
+        config=cfg, seed=seed, taxonomies=taxonomies,
         doc_ids=doc_ids, situations=situations, group_of=group_of,
         occurrences=occurrences, affinity=affinity, preferred=preferred,
         index=index)

@@ -62,8 +62,9 @@ class SituationIndex:
     def encode(self, s: Situation) -> Tuple[int, int, int]:
         """The concept indices of `s`; a concept that is not in its
         taxonomy raises UnknownConcept."""
+        i0, i1, i2 = self.index_of
         try:
-            return tuple(ix[c] for ix, c in zip(self.index_of, s.as_tuple()))
+            return (i0[s.location], i1[s.time], i2[s.social])
         except KeyError:
             for tax, c in zip(self.taxonomies.as_tuple(), s.as_tuple()):
                 tax.check(c)  # raises for the first missing concept
@@ -86,9 +87,11 @@ class SituationIndex:
         * m1[query[1], tim] + alpha[2] * m2[query[2], soc]`: each concept
         row is scaled before the gather (see the module docstring)."""
         m0, m1, m2 = self.matrices
-        out = (alpha[0] * m0[query[0]]).take(loc)
-        out += (alpha[1] * m1[query[1]]).take(tim)
-        out += (alpha[2] * m2[query[2]]).take(soc)
+        a0, a1, a2 = alpha
+        q0, q1, q2 = query
+        out = (a0 * m0[q0]).take(loc)
+        out += (a1 * m1[q1]).take(tim)
+        out += (a2 * m2[q2]).take(soc)
         return out
 
     def pairwise_weighted(self, loc: np.ndarray, tim: np.ndarray,

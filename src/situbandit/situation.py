@@ -64,14 +64,17 @@ class DimensionWeights:
 
     @property
     def alpha(self) -> Tuple[float, float, float]:
-        if not self.count:
+        n = self.count
+        if not n:
             return (1.0 / 3, 1.0 / 3, 1.0 / 3)
-        return tuple(s / self.count for s in self.sums)
+        a, b, c = self.sums
+        return (a / n, b / n, c / n)
 
     def record(self, per_dim_sims: Sequence[float]) -> "DimensionWeights":
         """Add one gamma observation per dimension."""
-        self.sums = tuple(s + float(sim)
-                          for s, sim in zip(self.sums, per_dim_sims))
+        a, b, c = self.sums
+        x, y, z = per_dim_sims
+        self.sums = (a + float(x), b + float(y), c + float(z))
         self.count += 1
         return self
 

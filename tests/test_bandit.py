@@ -115,13 +115,15 @@ def oracle_epsilon_greedy(candidates, n, epsilon, rng):
     return slate
 
 
-doc_ids = st.sampled_from([f"d{i:02d}" for i in range(12)])
+doc_ids = st.sampled_from([f"d{i:02d}" for i in range(40)])
 # small counters: many CTR ties, zero-impression organic clicks and
 # clicks > impressions all occur
 doc_maps = st.dictionaries(
-    doc_ids, st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
+    doc_ids, st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30)
+# slates as long as the largest maps, so that several explored positions
+# wait above the first untaken one
 slate_calls = st.tuples(
-    st.integers(1, 15),
+    st.integers(1, 40),
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 
 

@@ -427,6 +427,8 @@ def edited_world(**edits):
                  id="doc-ids-repeated"),
     pytest.param(edited_world(doc_ids=lambda d: list(range(len(d)))),
                  id="doc-ids-not-strings"),
+    *(pytest.param(edited_world(seed=lambda _, v=bad: v), id=f"seed-{bad}")
+      for bad in ("abc", -5, 1.5, True, None)),
 ])
 def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
     world_path = tmp_path / "world.json"
