@@ -7,20 +7,16 @@ weighted similarity. Preference maintenance merges feedback into the case
 stored for the situation or inserts a new case.
 
 Each preference map also owns the CTR ranking that slate selection reads:
-`_ctr` is the one CTR definition (`DocumentStats.ctr` reads it), and a map
-builds its ranking on the first read and keeps it current in `merge`
-after that.
+`_ctr` is the one CTR definition, and a map builds its ranking on the
+first read and keeps it current in `merge` after that.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError
 from .simindex import EncodedSituations, SituationIndex
 from .situation import (DimensionWeights, Situation, Taxonomies,
                         unweighted_sum)
@@ -38,19 +34,13 @@ def _ctr(clicks: int, impressions: int) -> float:
 @dataclass
 class DocumentStats:
     """Click and impression counters for one document in one situation's
-    preferences."""
+    preferences; the map holding them keys them by doc id."""
 
-    doc_id: str
     clicks: int = 0
     impressions: int = 0
 
     def copy(self) -> "DocumentStats":
-        return DocumentStats(self.doc_id, self.clicks, self.impressions)
-
-    @property
-    def ctr(self) -> float:
-        """The document's click-through rate (see `_ctr`)."""
-        return _ctr(self.clicks, self.impressions)
+        return DocumentStats(self.clicks, self.impressions)
 
 
 #: A map's CTR ranking: its (-ctr, doc_id) keys in ascending order (best
@@ -133,34 +123,6 @@ class RetrievalResult:
         return unweighted_sum(self.per_dim_sims)
 
 
-def _field(doc, key: str, kind: type, what: str):
-    """`doc[key]` of a snapshot mapping, which must be exactly a `kind`."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ParseError(f"{what} has no {key!r} entry")
-    if type(doc[key]) is not kind:
-        raise ParseError(f"{what} {key} {doc[key]!r} is not of type "
-                         f"{kind.__name__}")
-    return doc[key]
-
-
-def _situation(value) -> Situation:
-    if not isinstance(value, list) or len(value) != 3 \
-            or not all(type(c) is str for c in value):
-        raise ParseError(f"snapshot situation {value!r} is not three "
-                         f"concept ids")
-    return Situation(*value)
-
-
-def _document(doc) -> DocumentStats:
-    stats = DocumentStats(_field(doc, "doc_id", str, "snapshot doc"),
-                          _field(doc, "clicks", int, "snapshot doc"),
-                          _field(doc, "impressions", int, "snapshot doc"))
-    if stats.clicks < 0 or stats.impressions < 0:
-        raise ParseError(f"snapshot doc {stats.doc_id!r} has a negative "
-                         f"count")
-    return stats
-
-
 class CaseBase:
     """All cases plus their situation index and weights.
 
@@ -170,10 +132,9 @@ class CaseBase:
     """
 
     def __init__(self, taxonomies: Taxonomies,
-                 weights: Optional[DimensionWeights] = None,
                  index: Optional[SituationIndex] = None):
         self.index = index if index is not None else SituationIndex(taxonomies)
-        self.weights = weights if weights is not None else DimensionWeights()
+        self.weights = DimensionWeights()
         self.cases: List[Case] = []
         self.case_of: Dict[Situation, int] = {}
         self.encoded = EncodedSituations()
@@ -218,67 +179,6 @@ class CaseBase:
         if hit is not None:
             self.cases[hit].prefs.merge(feedback)
         else:
-            self._insert(Case(current, feedback.copy()))
-
-    def _insert(self, case: Case) -> None:
-        self.encoded.append(self.index.encode(case.situation))
-        self.case_of[case.situation] = len(self.cases)
-        self.cases.append(case)
-
-    # -- persistence -------------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        return {
-            "cases": [
-                {
-                    "situation": list(c.situation.as_tuple()),
-                    "docs": [
-                        {"doc_id": s.doc_id, "clicks": s.clicks,
-                         "impressions": s.impressions}
-                        for _, s in sorted(c.prefs.docs.items())
-                    ],
-                }
-                for c in self.cases
-            ],
-            "weights": self.weights.to_snapshot(),
-        }
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_snapshot(), indent=1, sort_keys=True) + "\n")
-
-    @classmethod
-    def from_snapshot(cls, doc: dict, taxonomies: Taxonomies,
-                      index: Optional[SituationIndex] = None) -> "CaseBase":
-        """Rebuild a case base from `to_snapshot` output.
-
-        A snapshot is outside input: a missing key, a malformed situation,
-        document or count, and a situation or doc id listed twice raise
-        ParseError. Keys that older snapshots carry are ignored: a
-        partition's `cluster_of` and `medoids`, the former `hlcs` list of
-        critical situations, and each document's two former fields besides
-        its clicks and impressions.
-        """
-        cb = cls(taxonomies, weights=DimensionWeights.from_snapshot(
-            _field(doc, "weights", dict, "snapshot")), index=index)
-        for entry in _field(doc, "cases", list, "snapshot"):
-            situation = _situation(
-                _field(entry, "situation", list, "snapshot case"))
-            if situation in cb.case_of:
-                raise ParseError(f"snapshot lists situation "
-                                 f"{situation.as_tuple()} twice")
-            docs: Dict[str, DocumentStats] = {}
-            for d in _field(entry, "docs", list, "snapshot case"):
-                stats = _document(d)
-                if stats.doc_id in docs:
-                    raise ParseError(f"snapshot case {situation.as_tuple()} "
-                                     f"lists doc {stats.doc_id!r} twice")
-                docs[stats.doc_id] = stats
-            cb._insert(Case(situation, UserPreferences(docs)))
-        return cb
-
-    @classmethod
-    def load(cls, path: Union[str, Path], taxonomies: Taxonomies,
-             **kwargs) -> "CaseBase":
-        return cls.from_snapshot(json.loads(Path(path).read_text()),
-                                 taxonomies, **kwargs)
+            self.encoded.append(self.index.encode(current))
+            self.case_of[current] = len(self.cases)
+            self.cases.append(Case(current, feedback.copy()))

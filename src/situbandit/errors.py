@@ -10,7 +10,7 @@ class SitubanditError(Exception):
 
 
 class ParseError(SitubanditError):
-    """Malformed taxonomy, config or snapshot document."""
+    """Malformed taxonomy or saved-world document."""
 
 
 class MultiRootError(SitubanditError):
@@ -54,7 +54,8 @@ def _is_number(value) -> bool:
 
 
 _KINDS = {
-    int: ("an integer", lambda v: _is_number(v) and isinstance(v, Integral)),
+    int: ("an integer in [-2**63, 2**63)", lambda v: _is_number(v)
+          and isinstance(v, Integral) and -2**63 <= v < 2**63),
     float: ("a number", _is_number),
     tuple: ("a pair of numbers", lambda v: isinstance(v, tuple)
             and len(v) == 2 and all(map(_is_number, v))),
@@ -62,9 +63,10 @@ _KINDS = {
 
 
 def check_kind(name: str, value, kind: type):
-    """`value`, if it is of `kind` (int, float for a number, or tuple for a
-    pair of numbers), else raise ConfigError. Bools are not numbers and
-    whole floats are not integers; numpy scalars count as Python ones."""
+    """`value`, if it is of `kind` (int for an integer that fits int64,
+    float for a number, or tuple for a pair of numbers), else raise
+    ConfigError. Bools are not numbers and whole floats are not integers;
+    numpy scalars count as Python ones."""
     noun, ok = _KINDS[kind]
     if not ok(value):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")

@@ -185,7 +185,7 @@ class SyntheticWorld:
                 raise UnknownDoc(e.args[0]) from None
             clicked = [u < row.item(i)
                        for u, i in zip(random(len(slate)).tolist(), idx)]
-            docs = {doc_id: DocumentStats(doc_id, int(c), 1)
+            docs = {doc_id: DocumentStats(int(c), 1)
                     for doc_id, c in zip(slate, clicked)}
             mine = preferred[group]
             good = (random(visits) < good_bias).tolist()
@@ -195,7 +195,7 @@ class SyntheticWorld:
                 di = mine[k] if g else k
                 doc_id = doc_ids[di]
                 if doc_id not in docs and u < row.item(di):
-                    docs[doc_id] = DocumentStats(doc_id, 1, 0)
+                    docs[doc_id] = DocumentStats(1, 0)
             return UserPreferences(docs)
 
         return source
@@ -537,7 +537,7 @@ def world_to_dict(world: SyntheticWorld) -> dict:
     }
 
 
-def _are_indices(values, bound: float) -> bool:
+def _are_indices(values, bound: int) -> bool:
     """Whether every value is an int, not a bool, in [0, bound)."""
     return all(isinstance(v, int) and not isinstance(v, bool)
                and 0 <= v < bound for v in values)
@@ -548,9 +548,9 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
     (a situation listed twice or naming a concept its taxonomy lacks, a
     doc id that is not a string or is listed twice, per-situation or
     per-group entries of the wrong length, a group or document index out
-    of range, a negative occurrence budget, an affinity that is not a
-    probability, an empty preferred list, a seed that is not an integer
-    >= 0) raise ParseError."""
+    of range, an occurrence budget outside [0, 2**63), an affinity that is
+    not a probability, an empty preferred list, a seed that is not an
+    integer >= 0) raise ParseError."""
     cfg = WorldConfig.from_dict(doc["config"])
     seed = doc["seed"]
     if type(seed) is not int or seed < 0:
@@ -580,8 +580,9 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
                          f"and preferred must hold {cfg.groups} lists")
     if not _are_indices(group_of.tolist(), cfg.groups):
         raise ParseError(f"group ids must be integers in [0, {cfg.groups})")
-    if not _are_indices(occurrences.tolist(), float("inf")):
-        raise ParseError("occurrence budgets must be integers >= 0")
+    if not _are_indices(occurrences.tolist(), 2**63):
+        raise ParseError("occurrence budgets must be integers in "
+                         "[0, 2**63)")
     if not _are_indices((d for p in preferred for d in p), len(doc_ids)):
         raise ParseError(f"preferred documents must be integers in "
                          f"[0, {len(doc_ids)})")

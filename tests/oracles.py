@@ -8,6 +8,8 @@ The package picks slates only from a map's maintained CTR ranking;
 `oracle_greedy_top_n` re-scores and re-sorts every candidate instead.
 The package checks a world's group separation from per-group concept
 counts; `separation_means` averages the full n x n similarity matrix.
+`casebase_state` lists everything a case base holds, so tests can check
+that an operation left it as it was.
 """
 
 from typing import List, Tuple
@@ -73,3 +75,15 @@ def separation_means(world) -> Tuple[float, float]:
     same = world.group_of[:, None] == world.group_of[None, :]
     off_diag = ~np.eye(len(world.situations), dtype=bool)
     return float(sim[same & off_diag].mean()), float(sim[~same].mean())
+
+
+def casebase_state(cb) -> tuple:
+    """A `CaseBase`'s contents as plain values: each case's situation and
+    per-document (clicks, impressions), the weights' sums and count, and
+    the encoded situation arrays."""
+    cases = [(c.situation, {d: (s.clicks, s.impressions)
+                            for d, s in c.prefs.docs.items()})
+             for c in cb.cases]
+    enc = cb.encoded
+    encoded = [a.tolist() for a in (enc.loc, enc.tim, enc.soc)]
+    return cases, cb.weights.sums, cb.weights.count, encoded

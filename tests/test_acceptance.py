@@ -104,7 +104,7 @@ def test_criterion_2_policy_degeneracy():
     rng = np.random.default_rng(200)
     docs = [f"d{i:02d}" for i in range(8)]
     cands = UserPreferences({
-        d: DocumentStats(d, clicks=int(rng.integers(0, 10)), impressions=10)
+        d: DocumentStats(clicks=int(rng.integers(0, 10)), impressions=10)
         for d in docs})
     # eps=0 equals the deterministic top-N oracle
     greedy_ok = all(epsilon_greedy(cands, 3, 0.0, rng) ==

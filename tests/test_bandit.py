@@ -16,18 +16,18 @@ from situbandit.situation import Situation
 from oracles import oracle_greedy_top_n
 
 
-def stats(doc_id, clicks, impressions):
-    return DocumentStats(doc_id, clicks=clicks, impressions=impressions)
+def stats(clicks, impressions):
+    return DocumentStats(clicks=clicks, impressions=impressions)
 
 
 @pytest.fixture
 def candidates():
     return UserPreferences({
-        "d1": stats("d1", 3, 10),   # ctr 0.3
-        "d2": stats("d2", 8, 10),   # ctr 0.8
-        "d3": stats("d3", 0, 10),   # ctr 0.0
-        "d4": stats("d4", 0, 0),    # never shown, ctr 0.0
-        "d5": stats("d5", 8, 10),   # ctr 0.8, ties with d2
+        "d1": stats(3, 10),   # ctr 0.3
+        "d2": stats(8, 10),   # ctr 0.8
+        "d3": stats(0, 10),   # ctr 0.0
+        "d4": stats(0, 0),    # never shown, ctr 0.0
+        "d5": stats(8, 10),   # ctr 0.8, ties with d2
     })
 
 
@@ -52,11 +52,17 @@ def test_config_validation():
 
 
 def test_get_ctr():
-    assert stats("d", 3, 10).ctr == pytest.approx(0.3)
-    assert stats("d", 0, 0).ctr == 0.0
-    assert stats("d", 4, 0).ctr == 0.0  # organic clicks, never shown
+    def ctr(clicks, impressions):
+        # a map's ranking keys are (-ctr, doc_id)
+        prefs = UserPreferences({"d": stats(clicks, impressions)})
+        [(key, _)] = prefs.ranking()
+        return -key
+
+    assert ctr(3, 10) == pytest.approx(0.3)
+    assert ctr(0, 0) == 0.0
+    assert ctr(4, 0) == 0.0  # organic clicks, never shown
     # clicks are clamped to impressions (organic clicks never push ctr > 1)
-    assert stats("d", 7, 5).ctr == 1.0
+    assert ctr(7, 5) == 1.0
 
 
 def test_greedy_top_n_order_and_ties(candidates):
@@ -128,7 +134,7 @@ slate_calls = st.tuples(
 
 
 def as_prefs(counts):
-    return UserPreferences({d: stats(d, c, i) for d, (c, i) in counts.items()})
+    return UserPreferences({d: stats(c, i) for d, (c, i) in counts.items()})
 
 
 @given(doc_maps, st.lists(st.one_of(doc_maps, slate_calls), max_size=40),
@@ -162,7 +168,7 @@ def make_engine(tiny_taxonomies, **kw):
 
 
 def feedback_all_clicked(situation, slate):
-    return UserPreferences({d: stats(d, 1, 1) for d in slate})
+    return UserPreferences({d: stats(1, 1) for d in slate})
 
 
 def test_engine_cold_start_on_empty_base(tiny_taxonomies, base_situation):
@@ -233,7 +239,7 @@ def test_global_baseline_learns(tiny_taxonomies, base_situation):
     rec = pol.recommend(base_situation)
     assert rec.branch == Branch.COLD_START
     pol.observe(base_situation, rec,
-                UserPreferences({"d3": stats("d3", 5, 5)}))
+                UserPreferences({"d3": stats(5, 5)}))
     rec = pol.recommend(base_situation)
     assert rec.branch == Branch.EPS_GREEDY
     assert rec.slate == ["d3"]

@@ -357,6 +357,7 @@ def test_readme_names_every_branch():
     ("cluster-eval", "sample_world", {"docs": 30.5}),
     ("gen-data", "world", {"occurrences_per_situation": -1}),
     ("cluster-eval", "sample_world", {"high_affinity": [0.9, 0.5]}),
+    ("gen-data", "world", {"organic_browse": 2**70}),
 ])
 def test_bad_world_config_is_a_clean_error(runner, tmp_path, command, key,
                                            entry):
@@ -429,6 +430,11 @@ def edited_world(**edits):
                  id="doc-ids-not-strings"),
     *(pytest.param(edited_world(seed=lambda _, v=bad: v), id=f"seed-{bad}")
       for bad in ("abc", -5, 1.5, True, None)),
+    # both load as Python ints but cannot be int64s in the replay
+    pytest.param(edited_world(occurrences=lambda o: [2**70] + o[1:]),
+                 id="occurrences-2**70"),
+    pytest.param(edited_world(config=lambda c: dict(c, organic_browse=2**70)),
+                 id="organic-browse-2**70"),
 ])
 def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
     world_path = tmp_path / "world.json"

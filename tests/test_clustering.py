@@ -16,6 +16,8 @@ from situbandit.simdata import balanced_taxonomy
 from situbandit.simindex import SituationIndex
 from situbandit.situation import DimensionWeights, Situation, Taxonomies
 
+from oracles import casebase_state
+
 
 def random_sim_matrix(rng, n):
     """Symmetric similarity matrix with unit diagonal, values in (0, 1]."""
@@ -120,12 +122,12 @@ def test_cluster_situations_roundtrip(tiny_taxonomies):
                           f"{tp}{rng.integers(1, 3)}",
                           f"{sp}{rng.integers(1, 3)}")
             cb.update_preferences(s, UserPreferences(
-                {"d": DocumentStats("d", clicks=1, impressions=1)}))
-    before = cb.to_snapshot()
+                {"d": DocumentStats(clicks=1, impressions=1)}))
+    before = casebase_state(cb)
     result = cluster_situations(cb, ClusteringConfig(num_clusters=2, seed=0))
     assert len(result.medoids) == 2
     assert len(result.labels) == len(cb)
-    assert cb.to_snapshot() == before  # the case base is left as it was
+    assert casebase_state(cb) == before  # the case base is left as it was
     # the two corners separate perfectly
     corner = ["a" if c.situation.location.startswith("La") else "b"
               for c in cb.cases]
@@ -142,7 +144,7 @@ def test_similarity_matrix_matches_scalar_path(tiny_taxonomies):
             Situation("Lroot", "Troot", "Sroot")]
     for s in sits:
         cb.update_preferences(s, UserPreferences(
-            {"d": DocumentStats("d", clicks=1, impressions=1)}))
+            {"d": DocumentStats(clicks=1, impressions=1)}))
     enc = cb.encoded
     mat = cb.index.pairwise_weighted(enc.loc, enc.tim, enc.soc,
                                      cb.weights.alpha)

@@ -227,14 +227,14 @@ def oracle_feedback_source(world, rng):
         docs = {}
         for doc_id, u in zip(slate, u_slate):
             click = int(u < row[world._doc_idx[doc_id]])
-            docs[doc_id] = DocumentStats(doc_id, clicks=click, impressions=1)
+            docs[doc_id] = DocumentStats(clicks=click, impressions=1)
         for v in range(b):
             di = mine[int(picks[v])] if good[v] else int(picks[v])
             doc_id = world.doc_ids[di]
             # every visit has its click test; one for a document already
             # in the feedback is drawn but changes nothing
             if doc_id not in docs and u_visit[v] < row[di]:
-                docs[doc_id] = DocumentStats(doc_id, clicks=1, impressions=0)
+                docs[doc_id] = DocumentStats(clicks=1, impressions=0)
         return UserPreferences(docs)
 
     return source
@@ -270,8 +270,7 @@ def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls):
         assert list(got.docs) == list(want.docs)
         for d, w in want.docs.items():
             g = got.docs[d]
-            assert (g.doc_id, g.clicks, g.impressions) == \
-                (w.doc_id, w.clicks, w.impressions)
+            assert (g.clicks, g.impressions) == (w.clicks, w.impressions)
         # also pins the draw count: a call that skips a draw ends elsewhere
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
