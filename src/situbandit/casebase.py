@@ -17,6 +17,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .errors import ParseError
 from .simindex import EncodedSituations, SituationIndex
 from .situation import (DimensionWeights, Situation, Taxonomies,
                         unweighted_sum)
@@ -123,6 +124,34 @@ class RetrievalResult:
         return unweighted_sum(self.per_dim_sims)
 
 
+def _field(doc, key: str, kind: type, what: str):
+    """`doc[key]` of a snapshot mapping, which must be exactly a `kind`."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"{what} has no {key!r} entry")
+    if type(doc[key]) is not kind:
+        raise ParseError(f"{what} {key} {doc[key]!r} is not of type "
+                         f"{kind.__name__}")
+    return doc[key]
+
+
+def _situation(value) -> Situation:
+    if not isinstance(value, list) or len(value) != 3 \
+            or not all(type(c) is str for c in value):
+        raise ParseError(f"snapshot situation {value!r} is not three "
+                         f"concept ids")
+    return Situation(*value)
+
+
+def _document(doc) -> Tuple[str, DocumentStats]:
+    """A snapshot doc entry's id and counters."""
+    doc_id = _field(doc, "doc_id", str, "snapshot doc")
+    stats = DocumentStats(_field(doc, "clicks", int, "snapshot doc"),
+                          _field(doc, "impressions", int, "snapshot doc"))
+    if stats.clicks < 0 or stats.impressions < 0:
+        raise ParseError(f"snapshot doc {doc_id!r} has a negative count")
+    return doc_id, stats
+
+
 class CaseBase:
     """All cases plus their situation index and weights.
 
@@ -179,6 +208,59 @@ class CaseBase:
         if hit is not None:
             self.cases[hit].prefs.merge(feedback)
         else:
-            self.encoded.append(self.index.encode(current))
-            self.case_of[current] = len(self.cases)
-            self.cases.append(Case(current, feedback.copy()))
+            self._insert(Case(current, feedback.copy()))
+
+    def _insert(self, case: Case) -> None:
+        self.encoded.append(self.index.encode(case.situation))
+        self.case_of[case.situation] = len(self.cases)
+        self.cases.append(case)
+
+    # -- snapshot ----------------------------------------------------------
+
+    def to_snapshot(self) -> dict:
+        """The cases and weights as plain JSON-ready values."""
+        return {
+            "cases": [
+                {
+                    "situation": list(c.situation.as_tuple()),
+                    "docs": [
+                        {"doc_id": d, "clicks": s.clicks,
+                         "impressions": s.impressions}
+                        for d, s in sorted(c.prefs.docs.items())
+                    ],
+                }
+                for c in self.cases
+            ],
+            "weights": self.weights.to_snapshot(),
+        }
+
+    @classmethod
+    def from_snapshot(cls, doc: dict, taxonomies: Taxonomies,
+                      index: Optional[SituationIndex] = None) -> "CaseBase":
+        """Rebuild a case base from `to_snapshot` output.
+
+        A snapshot is outside input: a missing key, a malformed situation,
+        document or count, and a situation or doc id listed twice raise
+        ParseError. Keys that older snapshots carry are ignored: a
+        partition's `cluster_of` and `medoids`, the former `hlcs` list of
+        critical situations, and each document's two former fields besides
+        its clicks and impressions.
+        """
+        cb = cls(taxonomies, index=index)
+        cb.weights = DimensionWeights.from_snapshot(
+            _field(doc, "weights", dict, "snapshot"))
+        for entry in _field(doc, "cases", list, "snapshot"):
+            situation = _situation(
+                _field(entry, "situation", list, "snapshot case"))
+            if situation in cb.case_of:
+                raise ParseError(f"snapshot lists situation "
+                                 f"{situation.as_tuple()} twice")
+            docs: Dict[str, DocumentStats] = {}
+            for d in _field(entry, "docs", list, "snapshot case"):
+                doc_id, stats = _document(d)
+                if doc_id in docs:
+                    raise ParseError(f"snapshot case {situation.as_tuple()} "
+                                     f"lists doc {doc_id!r} twice")
+                docs[doc_id] = stats
+            cb._insert(Case(situation, UserPreferences(docs)))
+        return cb

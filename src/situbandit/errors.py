@@ -10,7 +10,7 @@ class SitubanditError(Exception):
 
 
 class ParseError(SitubanditError):
-    """Malformed taxonomy or saved-world document."""
+    """Malformed taxonomy, saved-world or case-base snapshot document."""
 
 
 class MultiRootError(SitubanditError):

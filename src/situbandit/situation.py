@@ -9,10 +9,11 @@ running mean of the per-dimension similarities of past retrievals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .ontology import DIMENSIONS, Taxonomy
 
 #: Tolerance for the exact-match test sim == 3.
@@ -76,6 +77,35 @@ class DimensionWeights:
         self.sums = (a + float(x), b + float(y), c + float(z))
         self.count += 1
         return self
+
+    def to_snapshot(self) -> dict:
+        return {"sums": list(self.sums), "count": self.count}
+
+    @classmethod
+    def from_snapshot(cls, doc: dict) -> "DimensionWeights":
+        """Rebuild weights from `to_snapshot` output. The sums are 0 before
+        any observation; after one, every sum must be finite and > 0, as
+        Wu-Palmer similarities are: an exact case is the unique argmax of a
+        weighted scan only while every alpha is > 0."""
+        if not isinstance(doc, dict) or not {"sums", "count"} <= doc.keys():
+            raise ParseError(f"weights {doc!r} are not a mapping with "
+                             f"'sums' and 'count'")
+        sums, count = doc["sums"], doc["count"]
+        if isinstance(count, bool) or not isinstance(count, int) \
+                or count < 0:
+            raise ParseError(f"weights count {count!r} is not a "
+                             f"non-negative integer")
+        if not isinstance(sums, list) or len(sums) != 3 or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in sums):
+            raise ParseError(f"weights sums {sums!r} are not three numbers")
+        if count and not all(0.0 < x < math.inf for x in sums):
+            raise ParseError(f"weights sums {sums!r} must be finite and "
+                             f"> 0 after {count} observations")
+        if not count and any(x != 0 for x in sums):
+            raise ParseError(f"weights sums {sums!r} must be 0 before any "
+                             f"observation")
+        return cls(sums=tuple(sums), count=count)
 
 
 def unweighted_sum(per_dim_sims: Sequence[float]) -> float:

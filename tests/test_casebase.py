@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from situbandit.casebase import (CaseBase, DocumentStats, RetrievalResult,
                                  UserPreferences)
+from situbandit.errors import ParseError, UnknownConcept
 from situbandit.ontology import Dimension
 from situbandit.simdata import balanced_taxonomy
 from situbandit.simindex import EncodedSituations, SituationIndex
@@ -116,6 +118,167 @@ def test_retrieval_is_deterministic(corner_cb):
     first = corner_cb.retrieve(q).case_index
     for _ in range(5):
         assert corner_cb.retrieve(q).case_index == first
+
+
+def test_snapshot_roundtrip(corner_cb, tiny_taxonomies):
+    corner_cb.weights.record((0.5, 1.0, 0.25))
+    text = json.dumps(corner_cb.to_snapshot())
+    back = CaseBase.from_snapshot(json.loads(text), tiny_taxonomies)
+    assert len(back) == len(corner_cb)
+    assert back.case_of == corner_cb.case_of
+    assert back.weights.alpha == corner_cb.weights.alpha
+    for mine, theirs in zip(corner_cb.cases, back.cases):
+        assert mine.situation == theirs.situation
+        assert {d: s.clicks for d, s in mine.prefs.docs.items()} == \
+            {d: s.clicks for d, s in theirs.prefs.docs.items()}
+    # and the reloaded base retrieves identically
+    q = Situation("Lb2", "Ta1", "Sb1")
+    assert back.retrieve(q).case_index == corner_cb.retrieve(q).case_index
+
+
+def test_snapshot_listing_a_situation_twice_is_refused(corner_cb,
+                                                      tiny_taxonomies):
+    doc = corner_cb.to_snapshot()
+    doc["cases"].append(doc["cases"][2])
+    with pytest.raises(ParseError):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+DROP = object()
+
+#: Edits that make a snapshot malformed: the path to an entry and its new
+#: value, or DROP to delete it.
+MALFORMED = {
+    "doc-id-twice": (("cases", 0, "docs"), [
+        {"doc_id": "d0", "clicks": 0, "impressions": 1},
+        {"doc_id": "d0", "clicks": 9, "impressions": 9}]),
+    "negative-clicks": (("cases", 0, "docs", 0, "clicks"), -5),
+    "string-clicks": (("cases", 0, "docs", 0, "clicks"), "3"),
+    "float-clicks": (("cases", 0, "docs", 0, "clicks"), 1.0),
+    "bool-clicks": (("cases", 0, "docs", 0, "clicks"), True),
+    "null-impressions": (("cases", 0, "docs", 0, "impressions"), None),
+    "int-doc-id": (("cases", 0, "docs", 0, "doc_id"), 7),
+    "doc-not-a-mapping": (("cases", 0, "docs", 0), "d0"),
+    "docs-not-a-list": (("cases", 0, "docs"), {"d0": 1}),
+    "two-element-situation": (("cases", 0, "situation"), ["La1", "Ta1"]),
+    "unhashable-concept": (("cases", 0, "situation"), ["La1", "Ta1", ["Sa1"]]),
+    "situation-not-a-list": (("cases", 0, "situation"), "La1"),
+    "case-not-a-mapping": (("cases", 0), ["La1", "Ta1", "Sa1"]),
+    "cases-not-a-list": (("cases",), {}),
+    "no-clicks": (("cases", 0, "docs", 0, "clicks"), DROP),
+    "no-impressions": (("cases", 0, "docs", 0, "impressions"), DROP),
+    "no-doc-id": (("cases", 0, "docs", 0, "doc_id"), DROP),
+    "no-docs": (("cases", 0, "docs"), DROP),
+    "no-situation": (("cases", 0, "situation"), DROP),
+    "no-cases": (("cases",), DROP),
+    "no-weights": (("weights",), DROP),
+    "no-weights-count": (("weights", "count"), DROP),
+    "weights-not-a-mapping": (("weights",), [0.5, 1.0, 0.25]),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_snapshot_is_refused(corner_cb, tiny_taxonomies, name):
+    corner_cb.weights.record((0.5, 1.0, 0.25))
+    doc = corner_cb.to_snapshot()
+    (*parents, last), value = MALFORMED[name]
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    if value is DROP:
+        del entry[last]
+    else:
+        entry[last] = value
+    with pytest.raises(ParseError):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+@pytest.mark.parametrize("path", [("cases", 1, "situation")])
+def test_snapshot_with_unknown_concept_is_refused(corner_cb, tiny_taxonomies,
+                                                  path):
+    doc = corner_cb.to_snapshot()
+    entry = doc
+    for key in path:
+        entry = entry[key]
+    entry[2] = "Sx"
+    with pytest.raises(UnknownConcept):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+#: A snapshot in an earlier format, whose docs also carry `reading_time`
+#: and `rating`, next to the former `hlcs` list of critical situations.
+READING_TIME_SNAPSHOT = """{"cases": [
+ {"docs": [{"clicks": 2, "doc_id": "d1", "impressions": 3, "rating": 3,
+            "reading_time": 5.25},
+           {"clicks": 0, "doc_id": "d2", "impressions": 1, "rating": 0,
+            "reading_time": 0.0}],
+  "situation": ["La1", "Ta1", "Sa1"]},
+ {"docs": [{"clicks": 1, "doc_id": "d3", "impressions": 0, "rating": 5,
+            "reading_time": 2.25}],
+  "situation": ["Lb1", "Tb2", "Sb2"]}],
+ "hlcs": [["La1", "Ta1", "Sa1"]],
+ "weights": {"count": 1, "sums": [0.5, 1.0, 0.25]}}"""
+
+
+def test_snapshot_with_reading_time_and_rating_loads(tiny_taxonomies):
+    cb = CaseBase(tiny_taxonomies)
+    first = Situation("La1", "Ta1", "Sa1")
+    cb.update_preferences(first, UserPreferences({
+        "d1": DocumentStats(1, 1), "d2": DocumentStats(0, 1)}))
+    cb.update_preferences(Situation("Lb1", "Tb2", "Sb2"), UserPreferences(
+        {"d3": DocumentStats(1, 0)}))
+    cb.update_preferences(first, UserPreferences(
+        {"d1": DocumentStats(1, 2)}))
+    cb.weights.record((0.5, 1.0, 0.25))
+    back = CaseBase.from_snapshot(json.loads(READING_TIME_SNAPSHOT),
+                                  tiny_taxonomies)
+    assert back.to_snapshot() == cb.to_snapshot()
+    assert back.case_of == cb.case_of
+    for mine, theirs in zip(cb.cases, back.cases):
+        assert mine.prefs.docs == theirs.prefs.docs
+
+
+@pytest.mark.parametrize("weights", [
+    # a zero alpha: the exact hit (La1,Ta1,Sa1) would no longer be the
+    # weighted scan's argmax, which is (La2,Ta1,Sa1)
+    {"sums": [0, 1, 1], "count": 1},
+    {"sums": [float("nan"), 1, 1], "count": 1},
+    {"sums": [1, float("inf"), 1], "count": 1},
+    {"sums": [1, 1, -0.5], "count": 2},
+    {"sums": [1, 1, 1], "count": -1},
+    {"sums": [1, 1, 1], "count": 1.0},
+    {"sums": [1, 1], "count": 1},
+    {"sums": [1, 1, 1, 1], "count": 1},
+    {"sums": ["1", 1, 1], "count": 1},
+    {"sums": [float("nan"), 0, 0], "count": 0},
+])
+def test_snapshot_with_bad_weights_is_refused(tiny_taxonomies, weights):
+    cb = CaseBase(tiny_taxonomies)
+    for s in (Situation("La2", "Ta1", "Sa1"), Situation("La1", "Ta1", "Sa1")):
+        cb.update_preferences(s, prefs(d1=1))
+    doc = cb.to_snapshot()
+    doc["weights"] = weights
+    with pytest.raises(ParseError):
+        CaseBase.from_snapshot(doc, tiny_taxonomies)
+
+
+@pytest.mark.parametrize("labels, medoids", [
+    ([0, 0, 0, 1, 1, 2], [0, 3]),     # a label without a medoid
+    ([0, 0, 0, 1, 1, -1], [0, 3]),    # a negative label
+    ([0, 0, 0, 1, 1, 1], [0, 6]),     # a medoid past the last case
+    ([0, 0, 0, 1, 1, 1], [0, -1]),    # a negative medoid
+    ([0, 0, 0, 1, 1, 1], [0, 1]),     # a medoid outside its own cluster
+    ([0, 0, 0, 1, 1, 1], [0, 3]),     # a well-formed partition
+])
+def test_legacy_partition_keys_are_ignored_on_load(corner_cb,
+                                                   tiny_taxonomies, labels,
+                                                   medoids):
+    # snapshots written while the case base kept a partition carry it as
+    # `cluster_of` and `medoids`; whatever they hold, the cases load
+    doc = corner_cb.to_snapshot()
+    doc.update(cluster_of=labels, medoids=medoids)
+    back = CaseBase.from_snapshot(doc, tiny_taxonomies)
+    assert back.to_snapshot() == corner_cb.to_snapshot()
 
 
 TAXONOMIES = Taxonomies(two_level(Dimension.LOCATION, "L"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -178,5 +180,31 @@ def test_alpha_is_exact_running_mean(obs):
     else:
         assert w.alpha == tuple(mean_by_loop([o[j] for o in obs])
                                 for j in range(3))
-    assert w.count == len(obs)
-    assert len(w.sums) == 3  # no per-trial state
+    snap = w.to_snapshot()
+    assert snap == {"sums": list(w.sums), "count": len(obs)}
+    assert len(snap["sums"]) == 3  # no per-trial state
+
+
+# Wu-Palmer similarities are > 0, and a snapshot whose sums are not is
+# refused on load.
+positive_observations = st.lists(
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0, exclude_min=True)] * 3),
+    max_size=60)
+
+
+@given(positive_observations, st.data())
+def test_snapshot_resume_matches_uninterrupted(obs, data):
+    k = data.draw(st.integers(0, len(obs)))
+    straight = DimensionWeights()
+    for sims in obs:
+        straight.record(sims)
+    first = DimensionWeights()
+    for sims in obs[:k]:
+        first.record(sims)
+    resumed = DimensionWeights.from_snapshot(
+        json.loads(json.dumps(first.to_snapshot())))
+    for sims in obs[k:]:
+        resumed.record(sims)
+    assert resumed.alpha == straight.alpha
+    assert json.dumps(resumed.to_snapshot()) == \
+        json.dumps(straight.to_snapshot())
