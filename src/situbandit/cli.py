@@ -22,6 +22,10 @@ from .simdata import (POLICY_NAMES, WorldConfig, build_policy,
                       clustering_precision, export_diary, generate_world,
                       load_world, replay_evaluate, save_world)
 
+#: An existing file (not a directory): the type of every --config and
+#: --world option.
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
 DEFAULT_H_EPSILON = [round(0.1 * i, 1) for i in range(11)]
 
 #: Config keys set on `BanditConfig` (the run seed sets its `seed`), config
@@ -39,7 +43,11 @@ CONFIG_KEYS = [*BANDIT_KEYS, *CLUSTERING_KEYS, *REPLAY_KEYS, *RUN_KEYS]
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    doc = yaml.safe_load(Path(path).read_text())
+    try:
+        doc = yaml.safe_load(Path(path).read_text())
+    except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config file {path} cannot be read as YAML: "
+                          f"{type(exc).__name__}: {exc}") from exc
     if doc is None:
         return {}
     if not isinstance(doc, dict):
@@ -108,7 +116,7 @@ def _run(fn):
 
 
 @main.command("gen-data")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@click.option("--config", "config_path", type=INPUT_FILE)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), default="data")
 def cmd_gen_data(config_path, seed, out_dir):
@@ -127,8 +135,8 @@ def cmd_gen_data(config_path, seed, out_dir):
 
 
 @main.command("simulate")
-@click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--world", "world_path", type=click.Path(exists=True),
+@click.option("--config", "config_path", type=INPUT_FILE)
+@click.option("--world", "world_path", type=INPUT_FILE,
               required=True)
 @click.option("--policy", type=click.Choice(POLICY_NAMES),
               default="clustering-eps-greedy")
@@ -150,8 +158,8 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
 
 
 @main.command("sweep")
-@click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--world", "world_path", type=click.Path(exists=True),
+@click.option("--config", "config_path", type=INPUT_FILE)
+@click.option("--world", "world_path", type=INPUT_FILE,
               required=True)
 @click.option("--param", type=click.Choice(["epsilon", "threshold_b"]),
               required=True)
@@ -186,8 +194,8 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
 
 
 @main.command("tune-epsilon")
-@click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--world", "world_path", type=click.Path(exists=True),
+@click.option("--config", "config_path", type=INPUT_FILE)
+@click.option("--world", "world_path", type=INPUT_FILE,
               required=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), default="tune.tsv")
@@ -235,7 +243,7 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
 
 
 @main.command("cluster-eval")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@click.option("--config", "config_path", type=INPUT_FILE)
 @click.option("--grid", default=None,
               help="comma-separated t_max values")
 @click.option("--seeds", "seeds_flag", default=None,

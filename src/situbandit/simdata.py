@@ -34,6 +34,12 @@ from .simindex import SituationIndex
 from .situation import Situation, Taxonomies, unweighted_sum
 
 
+#: Every count a feedback map holds: shown, shown and clicked, organic click.
+SHOWN = DocumentStats(0, 1)
+SHOWN_CLICKED = DocumentStats(1, 1)
+ORGANIC_CLICK = DocumentStats(1, 0)
+
+
 @dataclass
 class WorldConfig:
     groups: int = 20
@@ -152,11 +158,11 @@ class SyntheticWorld:
         document not yet in the feedback enters it, with one click and zero
         impressions, if its click test passes.
 
-        Each call draws a fixed schedule of four array calls: the slate's
-        click tests `rng.random(len(slate))`; then, for the b visits, the
-        preferred-set tests `rng.random(b)`, one `rng.integers(bounds)`
-        call whose b exclusive bounds are `len(mine)` for a visit that
-        passed its preferred-set test and `n_docs` for the others, and the
+        Each call makes three array draws: `rng.random(n + b)` for a slate
+        of n documents and b visits, the slate's click tests and then the
+        visits' preferred-set tests; one `rng.integers(bounds)` call whose
+        b exclusive bounds are `len(mine)` for a visit that passed its
+        preferred-set test and `n_docs` for the others; and the visits'
         click tests `rng.random(b)`. A situation that is not in the world
         raises `LabelMismatch`, and a slate document that is not in it
         `UnknownDoc`, before anything is drawn.
@@ -183,19 +189,18 @@ class SyntheticWorld:
                 idx = [doc_idx[doc_id] for doc_id in slate]
             except KeyError as e:
                 raise UnknownDoc(e.args[0]) from None
-            clicked = [u < row.item(i)
-                       for u, i in zip(random(len(slate)).tolist(), idx)]
-            docs = {doc_id: DocumentStats(int(c), 1)
-                    for doc_id, c in zip(slate, clicked)}
+            uniforms = random(len(slate) + visits).tolist()
+            docs = {doc_id: SHOWN_CLICKED if u < row.item(i) else SHOWN
+                    for doc_id, u, i in zip(slate, uniforms, idx)}
             mine = preferred[group]
-            good = (random(visits) < good_bias).tolist()
+            good = [u < good_bias for u in uniforms[len(slate):]]
             n_mine = len(mine)
             picks = integers([n_mine if g else n_docs for g in good]).tolist()
             for g, k, u in zip(good, picks, random(visits).tolist()):
                 di = mine[k] if g else k
                 doc_id = doc_ids[di]
                 if doc_id not in docs and u < row.item(di):
-                    docs[doc_id] = DocumentStats(1, 0)
+                    docs[doc_id] = ORGANIC_CLICK
             return UserPreferences(docs)
 
         return source
@@ -613,12 +618,11 @@ def save_world(world: SyntheticWorld, path: Union[str, Path]) -> None:
 
 def load_world(path: Union[str, Path]) -> SyntheticWorld:
     """The world `save_world` wrote to `path`; a file that is not such a
-    world (bad JSON, a missing entry, a wrongly shaped or typed value)
-    raises ParseError."""
-    text = Path(path).read_text()
+    world (not UTF-8 text, bad or too deeply nested JSON, a missing entry,
+    a wrongly shaped or typed value) raises ParseError."""
     try:
-        return world_from_dict(json.loads(text))
-    except (KeyError, IndexError, TypeError, ValueError,
+        return world_from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError,
             SitubanditError) as exc:
         raise ParseError(f"{path} is not a saved world: "
                          f"{type(exc).__name__}: {exc}") from exc

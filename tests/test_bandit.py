@@ -148,8 +148,11 @@ def test_slates_match_rescoring_oracle(initial, ops, seed):
                        np.random.default_rng(seed))
     for op in ops:
         if isinstance(op, dict):
-            prefs.merge(as_prefs(op))
-            mirror.merge(as_prefs(op))
+            # one feedback map merged into both, so they share its counts
+            feedback = as_prefs(op)
+            prefs.merge(feedback)
+            mirror.merge(feedback)
+            assert feedback.docs == as_prefs(op).docs
             continue
         n, epsilon = op
         if not mirror:

@@ -75,8 +75,13 @@ def test_feedback_is_copied_on_insert(tiny_taxonomies, base_situation):
     cb = CaseBase(tiny_taxonomies)
     fb = prefs(d1=1)
     cb.update_preferences(base_situation, fb)
-    fb.docs["d1"].clicks = 99
-    assert cb.cases[0].prefs.docs["d1"].clicks == 1
+    # the caller's later edits to its map stay out of the case
+    fb.merge(prefs(d1=2))
+    fb.docs["d2"] = DocumentStats(3, 3)
+    assert cb.cases[0].prefs.docs == {"d1": DocumentStats(1, 1)}
+    # and the counts the case shares with it cannot change in place
+    with pytest.raises(AttributeError):
+        fb.docs["d1"].clicks = 99
 
 
 @pytest.fixture

@@ -327,6 +327,54 @@ def test_config_file_must_hold_a_mapping(runner, tmp_path):
     assert not (tmp_path / "o.tsv").exists()
 
 
+def _deep_yaml(depth):
+    """A `world:` mapping nested `depth` deep, one level per line."""
+    return "".join(f"{'  ' * i}world:\n" for i in range(depth)).encode()
+
+
+#: Each command with the arguments it needs, and whether it takes --world.
+COMMANDS = [
+    (["gen-data"], False),
+    (["simulate"], True),
+    (["sweep", "--param", "epsilon", "--grid", "0.1"], True),
+    (["tune-epsilon"], True),
+    (["cluster-eval", "--grid", "1"], False),
+]
+
+
+@pytest.mark.parametrize("option, content", [
+    pytest.param("--config", b"epsilon: [", id="config-not-yaml"),
+    pytest.param("--config", _deep_yaml(600), id="config-nested-too-deep"),
+    pytest.param("--config", b"\xff\xfe", id="config-not-utf8"),
+    pytest.param("--config", None, id="config-directory"),
+    pytest.param("--world", None, id="world-directory"),
+])
+def test_unreadable_input_file_is_a_clean_error(runner, tmp_path, option,
+                                                content):
+    # every command taking `option` refuses the file with an `Error:` line:
+    # exit 1, or click's usage exit 2 for a directory
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    world_path, cfg = gen_world(runner, tmp_path)
+    out = tmp_path / "out"
+    for command, takes_world in COMMANDS:
+        if option == "--world" and not takes_world:
+            continue
+        files = {"--config": cfg, "--world": world_path, option: bad}
+        args = [*command, "--config", str(files["--config"]),
+                "--out", str(out)]
+        if takes_world:
+            args += ["--world", str(files["--world"])]
+        res = runner.invoke(main, args)
+        assert res.exit_code == (2 if content is None else 1), res.output
+        assert "Error:" in res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert not out.exists()
+
+
 def test_readme_lists_every_config_key():
     # the first cell of each row of README's config-key table names keys
     text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -435,10 +483,16 @@ def edited_world(**edits):
                  id="occurrences-2**70"),
     pytest.param(edited_world(config=lambda c: dict(c, organic_browse=2**70)),
                  id="organic-browse-2**70"),
+    pytest.param(b"\xff\xfe" + json.dumps(SAVED_WORLD).encode(),
+                 id="not-utf8"),
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep"),
 ])
 def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
     world_path = tmp_path / "world.json"
-    world_path.write_text(text)
+    if isinstance(text, bytes):
+        world_path.write_bytes(text)
+    else:
+        world_path.write_text(text)
     out = tmp_path / "o.tsv"
     res = runner.invoke(main, ["simulate", "--world", str(world_path),
                                "--out", str(out)])

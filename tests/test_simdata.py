@@ -116,9 +116,16 @@ def test_group_lookup_and_errors(world):
     assert world.group_of_situation(world.situations[0]) == 0
     with pytest.raises(LabelMismatch):
         world.group_of_situation(Situation("L", "T", "S"))
-    source = world.feedback_source(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    source = world.feedback_source(rng)
+    before = rng.bit_generator.state
+    # both are refused before anything is drawn
     with pytest.raises(UnknownDoc):
         source(world.situations[0], [world.doc_ids[0], "nope"])
+    assert rng.bit_generator.state == before
+    with pytest.raises(LabelMismatch):
+        source(Situation("L", "T", "S"), [world.doc_ids[0]])
+    assert rng.bit_generator.state == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,8 +217,11 @@ def test_feedback_source_semantics(world):
 
 def oracle_feedback_source(world, rng):
     """The feedback closure with the visit rules in plain Python: it draws
-    the same four arrays with the same calls, then reads them one slate
-    document and one visit at a time."""
+    the slate's click tests, the preferred-set tests, the picks and the
+    visits' click tests in four separate calls, then reads them one slate
+    document and one visit at a time. The closure merges the first two
+    into one draw; the oracle keeps them apart because it is the reference
+    that merged draw must equal, in values and in the RNG state after."""
     cfg = world.config
     b = cfg.organic_browse
     n_docs = len(world.doc_ids)
