@@ -17,6 +17,7 @@ O(1), and an explore pick walks only the explored positions past it.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +30,7 @@ from .casebase import CaseBase, RetrievalResult, UserPreferences
 from .clustering import ClusteringConfig, cluster_situations  # noqa: F401
 from .errors import ConfigError, EmptyCandidates, check_fields
 from .simindex import SituationIndex
-from .situation import Situation, Taxonomies
+from .situation import Situation, Taxonomies, unweighted_sum
 
 
 @dataclass
@@ -57,7 +58,7 @@ class Branch(str, Enum):
     COLD_START = "cold-start"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     situation: Situation
     shown: List[str]
@@ -65,7 +66,7 @@ class TrialRecord:
     branch: Branch
 
 
-@dataclass
+@dataclass(slots=True)
 class Recommendation:
     slate: List[str]
     branch: Branch
@@ -96,35 +97,51 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
     `above` holds the explored positions past it, so an exploit pick costs
     O(1) and an explore pick O(len(above)); a position drained from `above`
     once `first` reaches it was paid for by the explore pick that put it
-    there. No pick costs O(m) for m candidates. Each pick draws one
-    `rng.random()`, and an explore pick one `rng.integers(m - picked)`
-    after it.
+    there. No pick costs O(m) for m candidates.
+
+    Draws: each pick reads one raw 64-bit word x of the bit generator and
+    explores when q = (x >> 11) * 2**-53 <= epsilon; an explore pick then
+    draws k = rng.integers(m - picked). For PCG64, q is exactly the double
+    `rng.random()` makes of the same word, and `random_raw`, like `random`,
+    leaves alone the buffered 32-bit half-word that `integers` reads. So
+    the draws, every slate and the final RNG state are those of one
+    `rng.random()` per pick. Other bit generators' raw words differ
+    (MT19937's are 32 bits wide), so `rng` must be PCG64-backed, as
+    `np.random.default_rng` is.
     """
-    if not candidates:
+    if not candidates.docs:
         raise EmptyCandidates("epsilon_greedy needs a non-empty candidate set")
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise TypeError(f"epsilon_greedy needs a PCG64 generator, got "
+                        f"{type(bit_generator).__name__}")
+    raw = bit_generator.random_raw
+    integers = rng.integers
     ranking = candidates.ranking()
     m = len(ranking)
-    random = rng.random
     slate: List[str] = []
     first = 0  # every position below it is taken
     above: List[int] = []  # explored positions above `first`, ascending
+    # q <= epsilon as one int compare: x >> 11 <= floor(epsilon * 2**53),
+    # exact since scaling by a power of two is
+    cut = (math.floor(epsilon * 2**53) + 1) << 11
     for picked in range(min(n, m)):
-        pos = first
-        if random() <= epsilon:
+        if raw() < cut:  # explore
             # the k-th untaken position: shift past every taken one <= it
-            pos += int(rng.integers(m - picked))
-            for p in above:
-                if p > pos:
-                    break
-                pos += 1
-        slate.append(ranking[pos][1])
-        if pos == first:
+            pos = first + int(integers(m - picked))
+            if pos != first:
+                for p in above:
+                    if p > pos:
+                        break
+                    pos += 1
+                slate.append(ranking[pos][1])
+                insort(above, pos)
+                continue
+        slate.append(ranking[first][1])
+        first += 1
+        while above and above[0] == first:
+            del above[0]
             first += 1
-            while above and above[0] == first:
-                del above[0]
-                first += 1
-        else:
-            insort(above, pos)
     return slate
 
 
@@ -145,8 +162,8 @@ class RecommendationEngine:
         cfg = self.config
         retrieval = self.casebase.retrieve(situation)
         if (retrieval is None
-                or retrieval.unweighted_sim < cfg.threshold_b
-                or not retrieval.case.prefs):
+                or unweighted_sum(retrieval.per_dim_sims) < cfg.threshold_b
+                or not retrieval.case.prefs.docs):
             return Recommendation(
                 random_slate(self.doc_pool, cfg.slate_size, self.rng),
                 Branch.COLD_START, retrieval)
@@ -173,7 +190,7 @@ class GlobalEpsilonGreedy:
         self.rng = np.random.default_rng(self.config.seed)
 
     def recommend(self, situation: Situation) -> Recommendation:
-        if not self.prefs:
+        if not self.prefs.docs:
             return Recommendation(
                 random_slate(self.doc_pool, self.config.slate_size, self.rng),
                 Branch.COLD_START, None)

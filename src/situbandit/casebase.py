@@ -64,8 +64,10 @@ class UserPreferences:
     def ranking(self) -> Ranking:
         """The map's CTR ranking; treat it as read-only."""
         if self._ranking is None:
-            self._ranking = sorted([(-_ctr(s.clicks, s.impressions), d)
-                                    for d, s in self.docs.items()])
+            # -_ctr(c, n), inline
+            self._ranking = sorted([
+                (-0.0 if n <= 0 else -(c / n) if c < n else -1.0, d)
+                for d, (c, n) in self.docs.items()])
         return self._ranking
 
     def merge(self, other: "UserPreferences") -> None:
@@ -98,9 +100,6 @@ class UserPreferences:
     def __len__(self) -> int:
         return len(self.docs)
 
-    def __bool__(self) -> bool:
-        return bool(self.docs)
-
 
 @dataclass
 class Case:
@@ -108,7 +107,7 @@ class Case:
     prefs: UserPreferences
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalResult:
     case_index: int
     case: Case

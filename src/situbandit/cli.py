@@ -26,6 +26,21 @@ from .simdata import (POLICY_NAMES, WorldConfig, build_policy,
 #: --world option.
 INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
+
+def _output_file(ctx, param, value: str) -> str:
+    """An --out file's directory must exist. Checked while the options
+    are parsed, so before any replay runs."""
+    parent = Path(value).parent
+    if not parent.is_dir():
+        raise click.ClickException(f"cannot write {value}: {parent} is not "
+                                   f"a directory")
+    return value
+
+
+#: A file (not a directory) in an existing directory: every --out option
+#: but gen-data's, which names a directory.
+OUTPUT_FILE = {"type": click.Path(dir_okay=False), "callback": _output_file}
+
 DEFAULT_H_EPSILON = [round(0.1 * i, 1) for i in range(11)]
 
 #: Config keys set on `BanditConfig` (the run seed sets its `seed`), config
@@ -111,14 +126,15 @@ def main():
 def _run(fn):
     try:
         fn()
-    except SitubanditError as exc:
+    except (SitubanditError, OSError) as exc:
         raise click.ClickException(str(exc))
 
 
 @main.command("gen-data")
 @click.option("--config", "config_path", type=INPUT_FILE)
 @click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=click.Path(), default="data")
+@click.option("--out", "out_dir", type=click.Path(file_okay=False),
+              default="data")
 def cmd_gen_data(config_path, seed, out_dir):
     """Generate a synthetic diary world and its delimited exports."""
     def go():
@@ -141,7 +157,7 @@ def cmd_gen_data(config_path, seed, out_dir):
 @click.option("--policy", type=click.Choice(POLICY_NAMES),
               default="clustering-eps-greedy")
 @click.option("--seed", type=int, default=None)
-@click.option("--out", "out_path", type=click.Path(), default="report.tsv")
+@click.option("--out", "out_path", **OUTPUT_FILE, default="report.tsv")
 def cmd_simulate(config_path, world_path, policy, seed, out_path):
     """Replay-evaluate one policy on a generated world."""
     def go():
@@ -168,7 +184,7 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
               help="comma-separated seeds")
 @click.option("--policy", type=click.Choice(POLICY_NAMES),
               default="clustering-eps-greedy")
-@click.option("--out", "out_path", type=click.Path(), default="sweep.tsv")
+@click.option("--out", "out_path", **OUTPUT_FILE, default="sweep.tsv")
 def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
               out_path):
     """One replay run per (grid value, seed); merged result table."""
@@ -198,7 +214,7 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
 @click.option("--world", "world_path", type=INPUT_FILE,
               required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--out", "out_path", type=click.Path(), default="tune.tsv")
+@click.option("--out", "out_path", **OUTPUT_FILE, default="tune.tsv")
 def cmd_tune_epsilon(config_path, world_path, seed, out_path):
     """Adaptive epsilon selection over candidate values."""
     def go():
@@ -248,7 +264,7 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
               help="comma-separated t_max values")
 @click.option("--seeds", "seeds_flag", default=None,
               help="comma-separated seeds")
-@click.option("--out", "out_path", type=click.Path(), default="clusters.tsv")
+@click.option("--out", "out_path", **OUTPUT_FILE, default="clusters.tsv")
 def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
     """Cluster a labeled synthetic sample across a t_max grid and report
     pairwise precision against the ground-truth groups."""

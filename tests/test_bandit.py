@@ -164,6 +164,32 @@ def test_slates_match_rescoring_oracle(initial, ops, seed):
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@given(doc_maps, st.lists(slate_calls, min_size=1, max_size=10),
+       st.integers(0, 2 ** 32 - 1))
+def test_slates_match_oracle_after_half_used_word(counts, calls, seed):
+    # an `integers(7)` before each slate leaves half of a 64-bit word in
+    # PCG64's 32-bit buffer; the raw-word tests must leave it for the next
+    # `integers`, as `rng.random()` does
+    prefs, mirror = as_prefs(counts), as_prefs(counts)
+    rng, oracle_rng = (np.random.default_rng(seed),
+                       np.random.default_rng(seed))
+    for n, epsilon in calls:
+        assert rng.integers(7) == oracle_rng.integers(7)
+        if not mirror.docs:
+            continue
+        assert (epsilon_greedy(prefs, n, epsilon, rng)
+                == oracle_epsilon_greedy(mirror, n, epsilon, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_epsilon_greedy_needs_pcg64(candidates):
+    # MT19937's raw words are 32 bits wide: read as PCG64's, every pick
+    # would explore
+    with pytest.raises(TypeError, match="PCG64"):
+        epsilon_greedy(candidates, 3, 0.1,
+                       np.random.Generator(np.random.MT19937(0)))
+
+
 def make_engine(tiny_taxonomies, **kw):
     return RecommendationEngine(
         tiny_taxonomies, doc_pool=[f"d{i}" for i in range(20)],

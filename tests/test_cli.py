@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from situbandit import cli
 from situbandit.bandit import Branch
 from situbandit.cli import CONFIG_KEYS, main
 from situbandit.simdata import WorldConfig, generate_world, world_to_dict
@@ -373,6 +375,56 @@ def test_unreadable_input_file_is_a_clean_error(runner, tmp_path, option,
         assert "Error:" in res.output
         assert isinstance(res.exception, SystemExit), res.exception
         assert not out.exists()
+
+
+def _a_file(path):
+    path.write_text("taken\n")
+    return path
+
+
+def _a_directory(path):
+    path.mkdir()
+    return path
+
+
+def _holds_world_json_directory(path):
+    (path / "world.json").mkdir(parents=True)
+    return path
+
+
+@pytest.mark.parametrize("make_out, kinds, code", [
+    pytest.param(_a_file, {"directory"}, 2, id="directory-is-a-file"),
+    pytest.param(_a_directory, {"file"}, 2, id="file-is-a-directory"),
+    pytest.param(lambda p: p / "missing" / "out.tsv", {"file"}, 1,
+                 id="parent-missing"),
+    pytest.param(lambda p: _a_file(p) / "out", {"directory", "file"}, 1,
+                 id="parent-is-a-file"),
+    pytest.param(_holds_world_json_directory, {"directory"}, 1,
+                 id="world-json-is-a-directory"),
+])
+def test_unwritable_out_is_a_clean_error(runner, tmp_path, make_out, kinds,
+                                         code):
+    # gen-data's --out names a directory, every other command's a file;
+    # an --out that cannot be written ends in an `Error:` line: click's
+    # usage exit 2 for a path of the wrong kind, else exit 1, and the
+    # commands that replay or cluster refuse it before they start
+    world_path, cfg = gen_world(runner, tmp_path)
+    spies = [mock.patch.object(cli, name, wraps=getattr(cli, name))
+             for name in ("replay_evaluate", "step", "kmedoids")]
+    for command, takes_world in COMMANDS:
+        kind = "directory" if command[0] == "gen-data" else "file"
+        if kind not in kinds:
+            continue
+        out = make_out(tmp_path / command[0])
+        args = [*command, "--config", str(cfg), "--out", str(out)]
+        if takes_world:
+            args += ["--world", str(world_path)]
+        with spies[0] as replay, spies[1] as step, spies[2] as kmedoids:
+            res = runner.invoke(main, args)
+        assert res.exit_code == code, (command, res.output, res.exception)
+        assert "Error:" in res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert not (replay.called or step.called or kmedoids.called)
 
 
 def test_readme_lists_every_config_key():
