@@ -30,7 +30,7 @@ from .casebase import CaseBase, RetrievalResult, UserPreferences
 from .clustering import ClusteringConfig, cluster_situations  # noqa: F401
 from .errors import ConfigError, EmptyCandidates, check_fields
 from .simindex import SituationIndex
-from .situation import Situation, Taxonomies, unweighted_sum
+from .situation import Situation, Taxonomies
 
 
 @dataclass
@@ -162,7 +162,7 @@ class RecommendationEngine:
         cfg = self.config
         retrieval = self.casebase.retrieve(situation)
         if (retrieval is None
-                or unweighted_sum(retrieval.per_dim_sims) < cfg.threshold_b
+                or retrieval.unweighted_sim < cfg.threshold_b
                 or not retrieval.case.prefs.docs):
             return Recommendation(
                 random_slate(self.doc_pool, cfg.slate_size, self.rng),

@@ -64,10 +64,8 @@ class UserPreferences:
     def ranking(self) -> Ranking:
         """The map's CTR ranking; treat it as read-only."""
         if self._ranking is None:
-            # -_ctr(c, n), inline
-            self._ranking = sorted([
-                (-0.0 if n <= 0 else -(c / n) if c < n else -1.0, d)
-                for d, (c, n) in self.docs.items()])
+            self._ranking = sorted([(-_ctr(c, n), d)
+                                    for d, (c, n) in self.docs.items()])
         return self._ranking
 
     def merge(self, other: "UserPreferences") -> None:
