@@ -30,7 +30,7 @@ from .casebase import CaseBase, RetrievalResult, UserPreferences
 from .clustering import ClusteringConfig, cluster_situations  # noqa: F401
 from .errors import ConfigError, EmptyCandidates, check_fields
 from .simindex import SituationIndex
-from .situation import Situation, Taxonomies
+from .situation import Situation
 
 
 @dataclass
@@ -148,13 +148,12 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
 class RecommendationEngine:
     """Situation-aware engine: case retrieval + epsilon-greedy selection."""
 
-    def __init__(self, taxonomies: Taxonomies, doc_pool: Sequence[str],
-                 config: Optional[BanditConfig] = None,
-                 index: Optional[SituationIndex] = None):
+    def __init__(self, index: SituationIndex, doc_pool: Sequence[str],
+                 config: Optional[BanditConfig] = None):
         self.config = config if config is not None else BanditConfig()
         # read by perfbench, which clusters the final case base with it
         self.clustering_cfg = ClusteringConfig()
-        self.casebase = CaseBase(taxonomies, index=index)
+        self.casebase = CaseBase(index)
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
 
@@ -220,9 +219,9 @@ class EpsilonTunerState:
     """Weights over candidate epsilon values, reinforced by observed clicks."""
 
     candidates: List[float]
-    weights: List[float] = field(default_factory=list)
-    tried: Set[int] = field(default_factory=set)
-    trial_index: int = 0
+    weights: List[float] = field(init=False)
+    tried: Set[int] = field(init=False, default_factory=set)
+    trial_index: int = field(init=False, default=0)
 
     def __post_init__(self):
         if not self.candidates:
@@ -230,10 +229,7 @@ class EpsilonTunerState:
         if len(set(self.candidates)) != len(self.candidates):
             raise ConfigError(f"epsilon candidates must be distinct, got "
                               f"{self.candidates}")
-        if not self.weights:
-            self.weights = [1.0] * len(self.candidates)
-        if len(self.weights) != len(self.candidates):
-            raise ConfigError("one weight per candidate")
+        self.weights = [1.0] * len(self.candidates)
 
     @property
     def best(self) -> float:

@@ -20,8 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
 from .simindex import EncodedSituations, SituationIndex
-from .situation import (DimensionWeights, Situation, Taxonomies,
-                        unweighted_sum)
+from .situation import DimensionWeights, Situation, unweighted_sum
 
 
 def _ctr(clicks: int, impressions: int) -> float:
@@ -152,9 +151,8 @@ class CaseBase:
     instance.
     """
 
-    def __init__(self, taxonomies: Taxonomies,
-                 index: Optional[SituationIndex] = None):
-        self.index = index if index is not None else SituationIndex(taxonomies)
+    def __init__(self, index: SituationIndex):
+        self.index = index
         self.weights = DimensionWeights()
         self.cases: List[Case] = []
         self.case_of: Dict[Situation, int] = {}
@@ -227,8 +225,7 @@ class CaseBase:
         }
 
     @classmethod
-    def from_snapshot(cls, doc: dict, taxonomies: Taxonomies,
-                      index: Optional[SituationIndex] = None) -> "CaseBase":
+    def from_snapshot(cls, doc: dict, index: SituationIndex) -> "CaseBase":
         """Rebuild a case base from `to_snapshot` output.
 
         A snapshot is outside input: a missing key, a malformed situation,
@@ -238,7 +235,7 @@ class CaseBase:
         critical situations, and each document's two former fields besides
         its clicks and impressions.
         """
-        cb = cls(taxonomies, index=index)
+        cb = cls(index)
         cb.weights = DimensionWeights.from_snapshot(
             _field(doc, "weights", dict, "snapshot"))
         for entry in _field(doc, "cases", list, "snapshot"):

@@ -118,16 +118,21 @@ def _config_int(cfg: dict, key: str, default: int) -> int:
     return check_kind(key, cfg.get(key, default), int)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. A package error, a failed read or write, or an
+    allocation the machine cannot provide ends any command with an
+    `Error:` line and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SitubanditError, OSError, MemoryError) as exc:
+            raise click.ClickException(str(exc) or type(exc).__name__)
+
+
+@click.group(cls=_Commands)
 def main():
     """Contextual-bandit recommendation engine: offline experiments."""
-
-
-def _run(fn):
-    try:
-        fn()
-    except (SitubanditError, OSError) as exc:
-        raise click.ClickException(str(exc))
 
 
 @main.command("gen-data")
@@ -137,17 +142,15 @@ def _run(fn):
               default="data")
 def cmd_gen_data(config_path, seed, out_dir):
     """Generate a synthetic diary world and its delimited exports."""
-    def go():
-        cfg = _load_config(config_path)
-        world_seed = seed if seed is not None else _config_int(cfg, "seed", 0)
-        world = generate_world(_world_config(cfg), world_seed)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_world(world, out / "world.json")
-        export_diary(world, out / "situations.tsv", out / "navigation.tsv")
-        click.echo(f"world: {len(world.situations)} situations, "
-                   f"{len(world.doc_ids)} documents -> {out}")
-    _run(go)
+    cfg = _load_config(config_path)
+    world_seed = seed if seed is not None else _config_int(cfg, "seed", 0)
+    world = generate_world(_world_config(cfg), world_seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_world(world, out / "world.json")
+    export_diary(world, out / "situations.tsv", out / "navigation.tsv")
+    click.echo(f"world: {len(world.situations)} situations, "
+               f"{len(world.doc_ids)} documents -> {out}")
 
 
 @main.command("simulate")
@@ -160,17 +163,15 @@ def cmd_gen_data(config_path, seed, out_dir):
 @click.option("--out", "out_path", **OUTPUT_FILE, default="report.tsv")
 def cmd_simulate(config_path, world_path, policy, seed, out_path):
     """Replay-evaluate one policy on a generated world."""
-    def go():
-        cfg = _load_config(config_path)
-        base = seed if seed is not None else _config_int(cfg, "seed", 0)
-        world = load_world(world_path)
-        pol = build_policy(policy, world, _bandit_config(cfg, base))
-        report = replay_evaluate(pol, world, **_replay_keys(cfg),
-                                 seed=base + 10 ** 6, keep_trials=False)
-        report.to_tsv(out_path)
-        click.echo(f"{policy}: final avg CTR {report.final_avctr:.4f} "
-                   f"-> {out_path}")
-    _run(go)
+    cfg = _load_config(config_path)
+    base = seed if seed is not None else _config_int(cfg, "seed", 0)
+    world = load_world(world_path)
+    pol = build_policy(policy, world, _bandit_config(cfg, base))
+    report = replay_evaluate(pol, world, **_replay_keys(cfg),
+                             seed=base + 10 ** 6, keep_trials=False)
+    report.to_tsv(out_path)
+    click.echo(f"{policy}: final avg CTR {report.final_avctr:.4f} "
+               f"-> {out_path}")
 
 
 @main.command("sweep")
@@ -188,25 +189,22 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
 def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
               out_path):
     """One replay run per (grid value, seed); merged result table."""
-    def go():
-        cfg = _load_config(config_path)
-        values = _numbers(float, grid, cfg, "grid", [])
-        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
-        # the --param names are the config keys; build (and so validate)
-        # every run's config before the first replay
-        runs = [(value, s, _bandit_config({**cfg, param: value}, s))
-                for value in values for s in seeds]
-        world = load_world(world_path)
-        lines = ["param\tvalue\tseed\tfinal_avctr"]
-        for value, s, bandit_cfg in runs:
-            pol = build_policy(policy, world, bandit_cfg)
-            report = replay_evaluate(pol, world, **_replay_keys(cfg),
-                                     seed=s + 10 ** 6, keep_trials=False)
-            lines.append(f"{param}\t{value:g}\t{s}\t"
-                         f"{report.final_avctr:.6f}")
-        Path(out_path).write_text("\n".join(lines) + "\n")
-        click.echo(f"{len(values) * len(seeds)} runs -> {out_path}")
-    _run(go)
+    cfg = _load_config(config_path)
+    values = _numbers(float, grid, cfg, "grid", [])
+    seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
+    # the --param names are the config keys; build (and so validate)
+    # every run's config before the first replay
+    runs = [(value, s, _bandit_config({**cfg, param: value}, s))
+            for value in values for s in seeds]
+    world = load_world(world_path)
+    lines = ["param\tvalue\tseed\tfinal_avctr"]
+    for value, s, bandit_cfg in runs:
+        pol = build_policy(policy, world, bandit_cfg)
+        report = replay_evaluate(pol, world, **_replay_keys(cfg),
+                                 seed=s + 10 ** 6, keep_trials=False)
+        lines.append(f"{param}\t{value:g}\t{s}\t{report.final_avctr:.6f}")
+    Path(out_path).write_text("\n".join(lines) + "\n")
+    click.echo(f"{len(values) * len(seeds)} runs -> {out_path}")
 
 
 @main.command("tune-epsilon")
@@ -217,45 +215,41 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
 @click.option("--out", "out_path", **OUTPUT_FILE, default="tune.tsv")
 def cmd_tune_epsilon(config_path, world_path, seed, out_path):
     """Adaptive epsilon selection over candidate values."""
-    def go():
-        cfg = _load_config(config_path)
-        base = seed if seed is not None else _config_int(cfg, "seed", 0)
-        candidates = _numbers(float, None, cfg, "h_epsilon",
-                              DEFAULT_H_EPSILON)
-        state = EpsilonTunerState(candidates)
-        configs = {e: _bandit_config({**cfg, "epsilon": e}, base)
-                   for e in candidates}
-        rounds = _config_int(cfg, "rounds", 200)
-        episode_length = _config_int(cfg, "episode_length", 50)
-        if rounds < 1 or episode_length < 1:
-            raise ConfigError("rounds and episode_length must both be >= 1")
-        world = load_world(world_path)
-        engine = build_policy("clustering-eps-greedy", world,
-                              _bandit_config(cfg, base))
-        rng = np.random.default_rng(base + 10 ** 6)
-        source = world.feedback_source(rng)
-        n_situations = len(world.situations)
+    cfg = _load_config(config_path)
+    base = seed if seed is not None else _config_int(cfg, "seed", 0)
+    candidates = _numbers(float, None, cfg, "h_epsilon", DEFAULT_H_EPSILON)
+    state = EpsilonTunerState(candidates)
+    configs = {e: _bandit_config({**cfg, "epsilon": e}, base)
+               for e in candidates}
+    rounds = _config_int(cfg, "rounds", 200)
+    episode_length = _config_int(cfg, "episode_length", 50)
+    if rounds < 1 or episode_length < 1:
+        raise ConfigError("rounds and episode_length must both be >= 1")
+    world = load_world(world_path)
+    engine = build_policy("clustering-eps-greedy", world,
+                          _bandit_config(cfg, base))
+    rng = np.random.default_rng(base + 10 ** 6)
+    source = world.feedback_source(rng)
+    n_situations = len(world.situations)
 
-        def run_episode(epsilon: float) -> float:
-            engine.config = configs[epsilon]
-            clicks = 0
-            for _ in range(episode_length):
-                s = world.situations[int(rng.integers(n_situations))]
-                clicks += sum(step(engine, s, source).clicks.values())
-            return clicks
+    def run_episode(epsilon: float) -> float:
+        engine.config = configs[epsilon]
+        clicks = 0
+        for _ in range(episode_length):
+            s = world.situations[int(rng.integers(n_situations))]
+            clicks += sum(step(engine, s, source).clicks.values())
+        return clicks
 
-        lines = ["round\tepsilon\tclicks\t"
-                 + "\t".join(f"w_{e:g}" for e in candidates)]
-        for _ in range(rounds):
-            before = list(state.weights)
-            chosen, state = tune_epsilon(state, run_episode, rng)
-            clicks = sum(a - b for a, b in zip(state.weights, before))
-            weights = "\t".join(f"{w:g}" for w in state.weights)
-            lines.append(f"{state.trial_index}\t{chosen:g}\t{clicks:g}\t"
-                         f"{weights}")
-        Path(out_path).write_text("\n".join(lines) + "\n")
-        click.echo(f"chosen epsilon: {state.best:g} -> {out_path}")
-    _run(go)
+    lines = ["round\tepsilon\tclicks\t"
+             + "\t".join(f"w_{e:g}" for e in candidates)]
+    for _ in range(rounds):
+        before = list(state.weights)
+        chosen, state = tune_epsilon(state, run_episode, rng)
+        clicks = sum(a - b for a, b in zip(state.weights, before))
+        weights = "\t".join(f"{w:g}" for w in state.weights)
+        lines.append(f"{state.trial_index}\t{chosen:g}\t{clicks:g}\t{weights}")
+    Path(out_path).write_text("\n".join(lines) + "\n")
+    click.echo(f"chosen epsilon: {state.best:g} -> {out_path}")
 
 
 @main.command("cluster-eval")
@@ -268,29 +262,27 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
 def cmd_cluster_eval(config_path, grid, seeds_flag, out_path):
     """Cluster a labeled synthetic sample across a t_max grid and report
     pairwise precision against the ground-truth groups."""
-    def go():
-        cfg = _load_config(config_path)
-        values = _numbers(int, grid, cfg, "grid", [1, 5, 10, 20, 40, 60])
-        seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
-        sample_cfg = _world_config(cfg, key="sample_world", groups=10,
-                                   situations_per_group=50, docs=200,
-                                   preferred_docs_per_group=5)
-        # the sample and its similarity matrix do not depend on the seed,
-        # which only varies the clustering's initial medoids
-        world = generate_world(sample_cfg, seed=_config_int(cfg, "seed", 0))
-        enc = np.array([world.index.encode(x) for x in world.situations]).T
-        sim = world.index.pairwise_weighted(
-            enc[0], enc[1], enc[2], (1.0, 1.0, 1.0))
-        lines = ["t_max\tseed\tprecision"]
-        for s in seeds:
-            for t_max in values:
-                result = kmedoids(
-                    sim, _clustering_config({**cfg, "t_max": t_max}, s))
-                prec = clustering_precision(result.labels, world.group_of)
-                lines.append(f"{t_max}\t{s}\t{prec:.6f}")
-        Path(out_path).write_text("\n".join(lines) + "\n")
-        click.echo(f"{len(values) * len(seeds)} clusterings -> {out_path}")
-    _run(go)
+    cfg = _load_config(config_path)
+    values = _numbers(int, grid, cfg, "grid", [1, 5, 10, 20, 40, 60])
+    seeds = _numbers(int, seeds_flag, cfg, "seeds", [0])
+    sample_cfg = _world_config(cfg, key="sample_world", groups=10,
+                               situations_per_group=50, docs=200,
+                               preferred_docs_per_group=5)
+    # the sample and its similarity matrix do not depend on the seed,
+    # which only varies the clustering's initial medoids
+    world = generate_world(sample_cfg, seed=_config_int(cfg, "seed", 0))
+    enc = np.array([world.index.encode(x) for x in world.situations]).T
+    sim = world.index.pairwise_weighted(enc[0], enc[1], enc[2],
+                                        (1.0, 1.0, 1.0))
+    lines = ["t_max\tseed\tprecision"]
+    for s in seeds:
+        for t_max in values:
+            result = kmedoids(
+                sim, _clustering_config({**cfg, "t_max": t_max}, s))
+            prec = clustering_precision(result.labels, world.group_of)
+            lines.append(f"{t_max}\t{s}\t{prec:.6f}")
+    Path(out_path).write_text("\n".join(lines) + "\n")
+    click.echo(f"{len(values) * len(seeds)} clusterings -> {out_path}")
 
 
 if __name__ == "__main__":

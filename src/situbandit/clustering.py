@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import ConfigError, TooFewCases, check_fields
+from .errors import ConfigError, check_fields
 
 #: Upper bound on greedy medoid-swap passes after the alternating loop.
 MAX_SWAP_PASSES = 4
@@ -109,7 +109,7 @@ def kmedoids(sim: np.ndarray, cfg: ClusteringConfig) -> ClusteringResult:
     """
     n = sim.shape[0]
     if n < cfg.num_clusters:
-        raise TooFewCases(f"{n} cases for {cfg.num_clusters} clusters")
+        raise ConfigError(f"{n} cases for {cfg.num_clusters} clusters")
     rng = np.random.default_rng(cfg.seed)
     medoids = rng.choice(n, size=cfg.num_clusters, replace=False)
     trace: List[float] = []

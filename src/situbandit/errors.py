@@ -10,19 +10,12 @@ class SitubanditError(Exception):
 
 
 class ParseError(SitubanditError):
-    """Malformed taxonomy, saved-world or case-base snapshot document."""
-
-
-class MultiRootError(SitubanditError):
-    """A concept listed twice in a taxonomy tree."""
+    """Malformed taxonomy, saved-world or case-base snapshot document,
+    including a taxonomy that lists a concept under two parents."""
 
 
 class UnknownConcept(SitubanditError):
     """Concept id not present in the taxonomy."""
-
-
-class TooFewCases(SitubanditError):
-    """Fewer cases than requested clusters."""
 
 
 class EmptyCandidates(SitubanditError):
@@ -33,20 +26,15 @@ class UnknownDoc(SitubanditError):
     """Document id not present in the synthetic world."""
 
 
-class ExhaustedPool(SitubanditError):
-    """Situation pool emptied before the replay finished."""
-
-
 class ConfigError(SitubanditError, ValueError):
-    """Invalid or impossible configuration."""
-
-
-class UnknownPolicy(SitubanditError):
-    """Policy name not recognized by the simulator."""
+    """Invalid or impossible configuration: among others an unknown policy
+    name, more replay iterations than the situation pool holds, and more
+    clusters than cases."""
 
 
 class LabelMismatch(SitubanditError):
-    """Predicted partition and ground-truth labels cover different items."""
+    """Predicted partition and ground-truth labels cover different items,
+    or a situation the world does not list."""
 
 
 def _is_number(value) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import MultiRootError, ParseError, UnknownConcept
+from .errors import ParseError, UnknownConcept
 
 
 class Dimension(str, Enum):
@@ -116,7 +116,7 @@ def _walk(node: Mapping, parent_id: Optional[str], parent: dict,
     if not isinstance(cid, str) or not cid:
         raise ParseError(f"concept id must be a non-empty string: {cid!r}")
     if cid in labels:
-        raise MultiRootError(f"concept {cid!r} appears under two parents")
+        raise ParseError(f"concept {cid!r} appears under two parents")
     labels[cid] = node.get("label", cid)
     if parent_id is not None:
         parent[cid] = parent_id

@@ -26,9 +26,8 @@ from .bandit import (BanditConfig, Branch, FeedbackSource,
                      GlobalEpsilonGreedy, Recommendation,
                      RecommendationEngine, TrialRecord, random_slate, step)
 from .casebase import DocumentStats, UserPreferences
-from .errors import (ConfigError, ExhaustedPool, LabelMismatch, ParseError,
-                     SitubanditError, UnknownConcept, UnknownDoc,
-                     UnknownPolicy, check_fields, check_kind)
+from .errors import (ConfigError, LabelMismatch, ParseError, SitubanditError,
+                     UnknownConcept, UnknownDoc, check_fields, check_kind)
 from .ontology import Dimension, Taxonomy, taxonomy_from_dict, taxonomy_to_dict
 from .simindex import SituationIndex
 from .situation import Situation, Taxonomies, unweighted_sum
@@ -38,6 +37,11 @@ from .situation import Situation, Taxonomies, unweighted_sum
 SHOWN = DocumentStats(0, 1)
 SHOWN_CLICKED = DocumentStats(1, 1)
 ORGANIC_CLICK = DocumentStats(1, 0)
+
+#: The most 8-byte items one numpy array can hold, as its size in bytes
+#: must fit an intp: the bound on a replay's situation pool, and on the
+#: uniforms one feedback call draws for a slate and the organic visits.
+MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -71,6 +75,10 @@ class WorldConfig:
                      "nav_entries_per_situation"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"world config {name} must be >= 0")
+        if self.docs + self.organic_browse > MAX_ARRAY_ITEMS:
+            raise ConfigError(f"world config docs + organic_browse must be "
+                              f"<= {MAX_ARRAY_ITEMS}, the most items a numpy "
+                              f"array holds")
         if not 0.0 <= self.organic_good_bias <= 1.0:
             raise ConfigError(
                 "world config organic_good_bias must be in [0, 1]")
@@ -401,9 +409,9 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
         raise ConfigError("report_period must be >= 1")
     if iterations < report_period:
         raise ConfigError("iterations must be >= report_period")
-    total_budget = int(world.occurrences.sum())
+    total_budget = sum(world.occurrences.tolist())
     if iterations > total_budget:
-        raise ExhaustedPool(
+        raise ConfigError(
             f"situation pool holds {total_budget} draws, "
             f"{iterations} requested")
     rng = np.random.default_rng(seed)
@@ -484,16 +492,15 @@ def build_policy(name: str, world: SyntheticWorld, bandit_cfg=None,
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if name == "clustering-eps-greedy":
-        return RecommendationEngine(world.taxonomies, world.doc_ids, cfg,
-                                    index=world.index)
+        return RecommendationEngine(world.index, world.doc_ids, cfg)
     if name == "eps-greedy":
         return GlobalEpsilonGreedy(world.doc_ids, cfg)
     if name == "random":
         return RandomPolicy(world.doc_ids, cfg.slate_size, cfg.seed)
     if name == "oracle":
         return OraclePolicy(world, cfg.slate_size)
-    raise UnknownPolicy(f"unknown policy {name!r}; pick one of "
-                        f"{', '.join(POLICY_NAMES)}")
+    raise ConfigError(f"unknown policy {name!r}; pick one of "
+                      f"{', '.join(POLICY_NAMES)}")
 
 
 def clustering_precision(predicted: Sequence[int],
@@ -552,10 +559,11 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
     """The world `world_to_dict` wrote; parts that do not fit together
     (a situation listed twice or naming a concept its taxonomy lacks, a
     doc id that is not a string or is listed twice, per-situation or
-    per-group entries of the wrong length, a group or document index out
-    of range, an occurrence budget outside [0, 2**63), an affinity that is
-    not a probability, an empty preferred list, a seed that is not an
-    integer >= 0) raise ParseError."""
+    per-group entries of the wrong length, fewer or more doc ids than the
+    config's docs, a group or document index out of range, occurrence
+    budgets that are not integers >= 0 or sum past MAX_ARRAY_ITEMS, an
+    affinity that is not a probability, an empty preferred list, a seed
+    that is not an integer >= 0) raise ParseError."""
     cfg = WorldConfig.from_dict(doc["config"])
     seed = doc["seed"]
     if type(seed) is not int or seed < 0:
@@ -576,6 +584,8 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
         raise ParseError("doc ids must be strings")
     if len(set(doc_ids)) != len(doc_ids):
         raise ParseError("a doc id is listed twice")
+    if len(doc_ids) != cfg.docs:
+        raise ParseError(f"{len(doc_ids)} doc ids for {cfg.docs} docs")
     if group_of.shape != (n,) or occurrences.shape != (n,):
         raise ParseError(f"group_of and occurrences must list one entry "
                          f"for each of the {n} situations")
@@ -585,9 +595,11 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
                          f"and preferred must hold {cfg.groups} lists")
     if not _are_indices(group_of.tolist(), cfg.groups):
         raise ParseError(f"group ids must be integers in [0, {cfg.groups})")
-    if not _are_indices(occurrences.tolist(), 2**63):
-        raise ParseError("occurrence budgets must be integers in "
-                         "[0, 2**63)")
+    budgets = occurrences.tolist()
+    if not _are_indices(budgets, MAX_ARRAY_ITEMS + 1) \
+            or sum(budgets) > MAX_ARRAY_ITEMS:
+        raise ParseError(f"occurrence budgets must be integers >= 0 that "
+                         f"sum to at most {MAX_ARRAY_ITEMS}")
     if not _are_indices((d for p in preferred for d in p), len(doc_ids)):
         raise ParseError(f"preferred documents must be integers in "
                          f"[0, {len(doc_ids)})")

@@ -117,13 +117,12 @@ class EncodedSituations:
         self._data = np.empty((3, 64), dtype=np.int64)
         self.size = 0
 
-    def append(self, encoded: Sequence[int]) -> int:
+    def append(self, encoded: Sequence[int]) -> None:
         if self.size == self._data.shape[1]:
             self._data = np.concatenate(
                 [self._data, np.empty_like(self._data)], axis=1)
         self._data[:, self.size] = encoded
         self.size += 1
-        return self.size - 1
 
     @property
     def loc(self) -> np.ndarray:

@@ -16,9 +16,6 @@ from typing import Sequence, Tuple
 from .errors import ConfigError, ParseError
 from .ontology import DIMENSIONS, Taxonomy
 
-#: Tolerance for the exact-match test sim == 3.
-EXACT_MATCH_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Situation:
@@ -70,13 +67,12 @@ class DimensionWeights:
         a, b, c = self.sums
         return (a / n, b / n, c / n)
 
-    def record(self, per_dim_sims: Sequence[float]) -> "DimensionWeights":
+    def record(self, per_dim_sims: Sequence[float]) -> None:
         """Add one gamma observation per dimension."""
         a, b, c = self.sums
         x, y, z = per_dim_sims
         self.sums = (a + float(x), b + float(y), c + float(z))
         self.count += 1
-        return self
 
     def to_snapshot(self) -> dict:
         return {"sums": list(self.sums), "count": self.count}
@@ -118,6 +114,6 @@ def unweighted_sum(per_dim_sims: Sequence[float]) -> float:
 
 # perfbench reads this to count exact hits
 def is_exact_match(sim: float) -> bool:
-    """Whether an unweighted similarity counts as sim == 3."""
-    return sim >= 3.0 - EXACT_MATCH_TOL
+    """Whether an unweighted similarity counts as sim == 3, within 1e-9."""
+    return sim >= 3.0 - 1e-9
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from situbandit.ontology import Dimension, Taxonomy, taxonomy_from_dict
+from situbandit.simindex import SituationIndex
 from situbandit.situation import Situation, Taxonomies
 
 
@@ -47,6 +48,11 @@ def tiny_taxonomies():
     return Taxonomies(two_level(Dimension.LOCATION, "L"),
                       two_level(Dimension.TIME, "T"),
                       two_level(Dimension.SOCIAL, "S"))
+
+
+@pytest.fixture
+def tiny_index(tiny_taxonomies):
+    return SituationIndex(tiny_taxonomies)
 
 
 @pytest.fixture

@@ -190,9 +190,9 @@ def test_epsilon_greedy_needs_pcg64(candidates):
                        np.random.Generator(np.random.MT19937(0)))
 
 
-def make_engine(tiny_taxonomies, **kw):
+def make_engine(tiny_index, **kw):
     return RecommendationEngine(
-        tiny_taxonomies, doc_pool=[f"d{i}" for i in range(20)],
+        tiny_index, doc_pool=[f"d{i}" for i in range(20)],
         config=kw.pop("config", BanditConfig(seed=0)), **kw)
 
 
@@ -200,15 +200,15 @@ def feedback_all_clicked(situation, slate):
     return UserPreferences({d: stats(1, 1) for d in slate})
 
 
-def test_engine_cold_start_on_empty_base(tiny_taxonomies, base_situation):
-    eng = make_engine(tiny_taxonomies)
+def test_engine_cold_start_on_empty_base(tiny_index, base_situation):
+    eng = make_engine(tiny_index)
     rec = eng.recommend(base_situation)
     assert rec.branch == Branch.COLD_START
     assert len(rec.slate) == 10 and len(set(rec.slate)) == 10
 
 
-def test_engine_threshold_gate(tiny_taxonomies, base_situation):
-    eng = make_engine(tiny_taxonomies)
+def test_engine_threshold_gate(tiny_index, base_situation):
+    eng = make_engine(tiny_index)
     step(eng, base_situation, feedback_all_clicked)
     # far-corner query: sim well below B = 2.4 -> cold start
     far = Situation("Lb2", "Tb2", "Sb2")
@@ -217,16 +217,16 @@ def test_engine_threshold_gate(tiny_taxonomies, base_situation):
     assert eng.recommend(base_situation).branch == Branch.EPS_GREEDY
 
 
-def test_engine_gate_requires_nonempty_prefs(tiny_taxonomies, base_situation):
-    eng = make_engine(tiny_taxonomies)
+def test_engine_gate_requires_nonempty_prefs(tiny_index, base_situation):
+    eng = make_engine(tiny_index)
     rec = eng.recommend(base_situation)
     eng.observe(base_situation, rec, UserPreferences())  # nothing clicked
     assert len(eng.casebase) == 1
     assert eng.recommend(base_situation).branch == Branch.COLD_START
 
 
-def test_engine_counts_and_weights_update(tiny_taxonomies, base_situation):
-    eng = make_engine(tiny_taxonomies)
+def test_engine_counts_and_weights_update(tiny_index, base_situation):
+    eng = make_engine(tiny_index)
     step(eng, base_situation, feedback_all_clicked)
     # first trial retrieves nothing, so no gamma observation yet
     assert eng.casebase.weights.count == 0
@@ -234,9 +234,9 @@ def test_engine_counts_and_weights_update(tiny_taxonomies, base_situation):
     assert eng.casebase.weights.alpha == pytest.approx((1.0, 1.0, 1.0))
 
 
-def test_engine_no_clustering_variant(tiny_taxonomies):
+def test_engine_no_clustering_variant(tiny_index):
     # the engine never clusters, and stores each situation in one case
-    eng = RecommendationEngine(tiny_taxonomies, doc_pool=["d1", "d2"])
+    eng = RecommendationEngine(tiny_index, doc_pool=["d1", "d2"])
     rng = np.random.default_rng(4)
     sits = [Situation(f"L{c}{rng.integers(1, 3)}", f"T{c}{rng.integers(1, 3)}",
                       f"S{c}{rng.integers(1, 3)}")
@@ -248,9 +248,9 @@ def test_engine_no_clustering_variant(tiny_taxonomies):
     assert len(eng.casebase) == len(eng.casebase.case_of) == len(set(sits))
 
 
-def test_engine_deterministic_given_seed(tiny_taxonomies):
+def test_engine_deterministic_given_seed(tiny_index):
     def run():
-        eng = make_engine(tiny_taxonomies, config=BanditConfig(seed=11))
+        eng = make_engine(tiny_index, config=BanditConfig(seed=11))
         rng = np.random.default_rng(5)
         slates = []
         for _ in range(30):
@@ -277,8 +277,6 @@ def test_global_baseline_learns(tiny_taxonomies, base_situation):
 def test_tuner_state_validation():
     with pytest.raises(ConfigError):
         EpsilonTunerState(candidates=[])
-    with pytest.raises(ConfigError):
-        EpsilonTunerState(candidates=[0.1], weights=[1.0, 2.0])
     # a repeated value would be two arms for one setting
     with pytest.raises(ConfigError):
         EpsilonTunerState(candidates=[0.0, 0.5, 0.5])

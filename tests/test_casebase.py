@@ -39,13 +39,13 @@ def test_preferences_merge_disjoint_and_overlap():
     assert not UserPreferences()
 
 
-def test_retrieve_empty_returns_none(tiny_taxonomies):
-    cb = CaseBase(tiny_taxonomies)
+def test_retrieve_empty_returns_none(tiny_index):
+    cb = CaseBase(tiny_index)
     assert cb.retrieve(Situation("La1", "Ta1", "Sa1")) is None
 
 
-def test_retrieve_exact_copy(tiny_taxonomies, base_situation):
-    cb = CaseBase(tiny_taxonomies)
+def test_retrieve_exact_copy(tiny_index, base_situation):
+    cb = CaseBase(tiny_index)
     cb.update_preferences(base_situation, prefs(d1=1))
     got = cb.retrieve(Situation("La1", "Ta1", "Sa1"))
     assert got.case_index == 0
@@ -53,16 +53,16 @@ def test_retrieve_exact_copy(tiny_taxonomies, base_situation):
     assert got.unweighted_sim == pytest.approx(3.0)
 
 
-def test_update_merges_on_exact_match(tiny_taxonomies, base_situation):
-    cb = CaseBase(tiny_taxonomies)
+def test_update_merges_on_exact_match(tiny_index, base_situation):
+    cb = CaseBase(tiny_index)
     cb.update_preferences(base_situation, prefs(d1=2))
     cb.update_preferences(base_situation, prefs(d1=3))
     assert len(cb) == 1
     assert cb.cases[0].prefs.docs["d1"].clicks == 5
 
 
-def test_update_inserts_on_inexact_match(tiny_taxonomies, base_situation):
-    cb = CaseBase(tiny_taxonomies)
+def test_update_inserts_on_inexact_match(tiny_index, base_situation):
+    cb = CaseBase(tiny_index)
     cb.update_preferences(base_situation, prefs(d1=1))
     near = Situation("La2", "Ta1", "Sa1")  # sibling location, sim < 3
     cb.update_preferences(near, prefs(d2=1))
@@ -71,8 +71,8 @@ def test_update_inserts_on_inexact_match(tiny_taxonomies, base_situation):
     assert "d1" not in cb.cases[1].prefs.docs
 
 
-def test_feedback_is_copied_on_insert(tiny_taxonomies, base_situation):
-    cb = CaseBase(tiny_taxonomies)
+def test_feedback_is_copied_on_insert(tiny_index, base_situation):
+    cb = CaseBase(tiny_index)
     fb = prefs(d1=1)
     cb.update_preferences(base_situation, fb)
     # the caller's later edits to its map stay out of the case
@@ -85,10 +85,10 @@ def test_feedback_is_copied_on_insert(tiny_taxonomies, base_situation):
 
 
 @pytest.fixture
-def corner_cb(tiny_taxonomies):
+def corner_cb(tiny_index):
     """Six cases, three in the 'a' corner and three in the 'b' corner of
     each taxonomy."""
-    cb = CaseBase(tiny_taxonomies)
+    cb = CaseBase(tiny_index)
     sits = [
         Situation("La1", "Ta1", "Sa1"),
         Situation("La2", "Ta1", "Sa1"),
@@ -109,8 +109,8 @@ def test_retrieval_picks_right_corner(corner_cb):
     assert got.case_index in (3, 4, 5)
 
 
-def test_tie_breaks_to_lowest_case_index(tiny_taxonomies):
-    cb = CaseBase(tiny_taxonomies)
+def test_tie_breaks_to_lowest_case_index(tiny_index):
+    cb = CaseBase(tiny_index)
     # each is one sibling step from the query in another dimension, so
     # both score exactly alike under uniform weights
     cb.update_preferences(Situation("La1", "Ta2", "Sa1"), prefs(d1=1))
@@ -125,10 +125,10 @@ def test_retrieval_is_deterministic(corner_cb):
         assert corner_cb.retrieve(q).case_index == first
 
 
-def test_snapshot_roundtrip(corner_cb, tiny_taxonomies):
+def test_snapshot_roundtrip(corner_cb, tiny_index):
     corner_cb.weights.record((0.5, 1.0, 0.25))
     text = json.dumps(corner_cb.to_snapshot())
-    back = CaseBase.from_snapshot(json.loads(text), tiny_taxonomies)
+    back = CaseBase.from_snapshot(json.loads(text), tiny_index)
     assert len(back) == len(corner_cb)
     assert back.case_of == corner_cb.case_of
     assert back.weights.alpha == corner_cb.weights.alpha
@@ -142,11 +142,11 @@ def test_snapshot_roundtrip(corner_cb, tiny_taxonomies):
 
 
 def test_snapshot_listing_a_situation_twice_is_refused(corner_cb,
-                                                      tiny_taxonomies):
+                                                      tiny_index):
     doc = corner_cb.to_snapshot()
     doc["cases"].append(doc["cases"][2])
     with pytest.raises(ParseError):
-        CaseBase.from_snapshot(doc, tiny_taxonomies)
+        CaseBase.from_snapshot(doc, tiny_index)
 
 
 DROP = object()
@@ -183,7 +183,7 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("name", MALFORMED)
-def test_malformed_snapshot_is_refused(corner_cb, tiny_taxonomies, name):
+def test_malformed_snapshot_is_refused(corner_cb, tiny_index, name):
     corner_cb.weights.record((0.5, 1.0, 0.25))
     doc = corner_cb.to_snapshot()
     (*parents, last), value = MALFORMED[name]
@@ -195,11 +195,11 @@ def test_malformed_snapshot_is_refused(corner_cb, tiny_taxonomies, name):
     else:
         entry[last] = value
     with pytest.raises(ParseError):
-        CaseBase.from_snapshot(doc, tiny_taxonomies)
+        CaseBase.from_snapshot(doc, tiny_index)
 
 
 @pytest.mark.parametrize("path", [("cases", 1, "situation")])
-def test_snapshot_with_unknown_concept_is_refused(corner_cb, tiny_taxonomies,
+def test_snapshot_with_unknown_concept_is_refused(corner_cb, tiny_index,
                                                   path):
     doc = corner_cb.to_snapshot()
     entry = doc
@@ -207,7 +207,7 @@ def test_snapshot_with_unknown_concept_is_refused(corner_cb, tiny_taxonomies,
         entry = entry[key]
     entry[2] = "Sx"
     with pytest.raises(UnknownConcept):
-        CaseBase.from_snapshot(doc, tiny_taxonomies)
+        CaseBase.from_snapshot(doc, tiny_index)
 
 
 #: A snapshot in an earlier format, whose docs also carry `reading_time`
@@ -225,8 +225,8 @@ READING_TIME_SNAPSHOT = """{"cases": [
  "weights": {"count": 1, "sums": [0.5, 1.0, 0.25]}}"""
 
 
-def test_snapshot_with_reading_time_and_rating_loads(tiny_taxonomies):
-    cb = CaseBase(tiny_taxonomies)
+def test_snapshot_with_reading_time_and_rating_loads(tiny_index):
+    cb = CaseBase(tiny_index)
     first = Situation("La1", "Ta1", "Sa1")
     cb.update_preferences(first, UserPreferences({
         "d1": DocumentStats(1, 1), "d2": DocumentStats(0, 1)}))
@@ -236,7 +236,7 @@ def test_snapshot_with_reading_time_and_rating_loads(tiny_taxonomies):
         {"d1": DocumentStats(1, 2)}))
     cb.weights.record((0.5, 1.0, 0.25))
     back = CaseBase.from_snapshot(json.loads(READING_TIME_SNAPSHOT),
-                                  tiny_taxonomies)
+                                  tiny_index)
     assert back.to_snapshot() == cb.to_snapshot()
     assert back.case_of == cb.case_of
     for mine, theirs in zip(cb.cases, back.cases):
@@ -257,14 +257,14 @@ def test_snapshot_with_reading_time_and_rating_loads(tiny_taxonomies):
     {"sums": ["1", 1, 1], "count": 1},
     {"sums": [float("nan"), 0, 0], "count": 0},
 ])
-def test_snapshot_with_bad_weights_is_refused(tiny_taxonomies, weights):
-    cb = CaseBase(tiny_taxonomies)
+def test_snapshot_with_bad_weights_is_refused(tiny_index, weights):
+    cb = CaseBase(tiny_index)
     for s in (Situation("La2", "Ta1", "Sa1"), Situation("La1", "Ta1", "Sa1")):
         cb.update_preferences(s, prefs(d1=1))
     doc = cb.to_snapshot()
     doc["weights"] = weights
     with pytest.raises(ParseError):
-        CaseBase.from_snapshot(doc, tiny_taxonomies)
+        CaseBase.from_snapshot(doc, tiny_index)
 
 
 @pytest.mark.parametrize("labels, medoids", [
@@ -276,13 +276,13 @@ def test_snapshot_with_bad_weights_is_refused(tiny_taxonomies, weights):
     ([0, 0, 0, 1, 1, 1], [0, 3]),     # a well-formed partition
 ])
 def test_legacy_partition_keys_are_ignored_on_load(corner_cb,
-                                                   tiny_taxonomies, labels,
+                                                   tiny_index, labels,
                                                    medoids):
     # snapshots written while the case base kept a partition carry it as
     # `cluster_of` and `medoids`; whatever they hold, the cases load
     doc = corner_cb.to_snapshot()
     doc.update(cluster_of=labels, medoids=medoids)
-    back = CaseBase.from_snapshot(doc, tiny_taxonomies)
+    back = CaseBase.from_snapshot(doc, tiny_index)
     assert back.to_snapshot() == corner_cb.to_snapshot()
 
 
@@ -330,7 +330,7 @@ def test_case_base_grows_past_its_initial_arrays():
     # scans every row.
     absent = SITUATIONS[::5]
     stored = [s for s in SITUATIONS if s not in absent]
-    cb = CaseBase(TAXONOMIES, index=INDEX)
+    cb = CaseBase(INDEX)
     cb.weights.record((0.5, 1.0, 0.25))
     for s in stored:
         cb.update_preferences(s, prefs(d1=1))
@@ -344,7 +344,7 @@ def test_case_base_grows_past_its_initial_arrays():
 
 @given(index_ops)
 def test_case_index_matches_scalar_oracle(ops):
-    cb = CaseBase(TAXONOMIES, index=INDEX)
+    cb = CaseBase(INDEX)
     for kind, arg in ops:
         if kind == "record":
             cb.weights.record(arg)

@@ -1,15 +1,20 @@
+import copy
 import json
 from pathlib import Path
 from unittest import mock
 
+import click
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from situbandit import cli
+from situbandit import cli, simdata
 from situbandit.bandit import Branch
 from situbandit.cli import CONFIG_KEYS, main
-from situbandit.simdata import WorldConfig, generate_world, world_to_dict
+from situbandit.errors import SitubanditError
+from situbandit.simdata import (POLICY_NAMES, WorldConfig, generate_world,
+                                world_to_dict)
 
 TINY_WORLD = {
     "groups": 3,
@@ -458,6 +463,8 @@ def test_readme_names_every_branch():
     ("gen-data", "world", {"occurrences_per_situation": -1}),
     ("cluster-eval", "sample_world", {"high_affinity": [0.9, 0.5]}),
     ("gen-data", "world", {"organic_browse": 2**70}),
+    # an int64, but more uniforms than one numpy array holds
+    ("gen-data", "world", {"organic_browse": 2**62}),
 ])
 def test_bad_world_config_is_a_clean_error(runner, tmp_path, command, key,
                                            entry):
@@ -535,6 +542,17 @@ def edited_world(**edits):
                  id="occurrences-2**70"),
     pytest.param(edited_world(config=lambda c: dict(c, organic_browse=2**70)),
                  id="organic-browse-2**70"),
+    # int64s, but more items than one numpy array holds
+    pytest.param(edited_world(occurrences=lambda o: [2**62] + o[1:]),
+                 id="occurrences-2**62"),
+    pytest.param(edited_world(config=lambda c: dict(c, organic_browse=2**62)),
+                 id="organic-browse-2**62"),
+    # int64s whose sum wraps around in int64 arithmetic
+    pytest.param(edited_world(occurrences=lambda o: [2**62, 2**62] + o[2:]),
+                 id="occurrences-sum-past-int64"),
+    # docs + organic_browse bounds a feedback draw only if docs counts them
+    pytest.param(edited_world(config=lambda c: dict(c, docs=31)),
+                 id="docs-not-the-doc-count"),
     pytest.param(b"\xff\xfe" + json.dumps(SAVED_WORLD).encode(),
                  id="not-utf8"),
     pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep"),
@@ -552,3 +570,102 @@ def test_malformed_world_file_is_a_clean_error(runner, tmp_path, text):
     assert "Error:" in res.output and "is not a saved world" in res.output
     assert isinstance(res.exception, SystemExit), res.exception
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    pytest.param(MemoryError("Unable to allocate 8.00 EiB for an array with "
+                             "shape (1152921504606846975,) and data type "
+                             "int64"),
+                 "Error: Unable to allocate 8.00 EiB", id="numpy-message"),
+    pytest.param(MemoryError(), "Error: MemoryError", id="no-message"),
+])
+def test_out_of_memory_is_a_clean_error(runner, tmp_path, error, message):
+    # an allocation numpy can describe but the machine cannot provide;
+    # mocked, as a real one would try to allocate
+    world_path, cfg = gen_world(runner, tmp_path)
+    out = tmp_path / "o.tsv"
+    with mock.patch.object(cli, "replay_evaluate", side_effect=error):
+        res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                   "--world", str(world_path),
+                                   "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert message in res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert not out.exists()
+
+
+def _leaf_paths(doc, path=()):
+    """The key paths of every value in `doc` that is not a non-empty
+    mapping or list."""
+    if isinstance(doc, (dict, list)) and doc:
+        keys = doc if isinstance(doc, dict) else range(len(doc))
+        for key in keys:
+            yield from _leaf_paths(doc[key], path + (key,))
+    else:
+        yield path
+
+
+def _leaves_by_entry(docs):
+    """The leaf paths of each named document, grouped by document name and
+    top-level key."""
+    leaves = {}
+    for name, doc in docs.items():
+        for path in _leaf_paths(doc):
+            leaves.setdefault((name, path[0]), []).append(path)
+    return leaves
+
+
+#: The saved world and the config `simulate` reads: criterion 10's, with
+#: 100 iterations. A mutation picks a top-level entry first, so it lands
+#: in a small one (the occurrence budgets, say) as often as in a large one
+#: (the taxonomies).
+MUTATED_DOCS = {"world": json.loads(json.dumps(SAVED_WORLD)),
+                "config": FAST_RUN}
+LEAVES = _leaves_by_entry(MUTATED_DOCS)
+
+#: Every JSON kind, numbers at the int64 edges and past numpy's largest
+#: array, and the non-finite floats YAML and Python's JSON both write.
+MUTANT_VALUES = [None, True, False, 0, 1, -1, 1.5, float("nan"),
+                 float("inf"), 2**62, 2**63, 2**70, "x", [], [0], {"x": 0}]
+
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(sorted(LEAVES)).flatmap(
+        lambda section: st.tuples(st.just(section[0]),
+                                  st.sampled_from(LEAVES[section]))),
+        st.sampled_from(MUTANT_VALUES)),
+    min_size=1, max_size=2)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(MUTATIONS)
+def test_mutated_inputs_replay_or_are_refused(mutations):
+    # one or two leaves of the saved world or the config set to a value
+    # from the pool: `simulate` either refuses the input with a package
+    # error before the first trial, or replays it with every policy
+    docs = copy.deepcopy(MUTATED_DOCS)
+    for (name, (*parents, last)), value in mutations:
+        entry = docs[name]
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("world.json").write_text(json.dumps(docs["world"]))
+        write_config("config.yaml", docs["config"])
+        for policy in POLICY_NAMES:
+            with mock.patch.object(simdata, "step",
+                                   wraps=simdata.step) as step:
+                res = runner.invoke(main, [
+                    "simulate", "--config", "config.yaml", "--world",
+                    "world.json", "--policy", policy, "--out", "o.tsv"],
+                    standalone_mode=False)
+            if res.exception is None:
+                assert step.call_count == 100
+                continue
+            # click prints a ClickException as an `Error:` line, exit 1
+            assert isinstance(res.exception, click.ClickException), \
+                res.exc_info
+            assert isinstance(res.exception.__context__, SitubanditError), \
+                res.exc_info
+            assert not step.called
+            break

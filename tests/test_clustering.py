@@ -10,7 +10,7 @@ from situbandit import clustering, simindex
 from situbandit.casebase import CaseBase, DocumentStats, UserPreferences
 from situbandit.clustering import (ClusteringConfig, cluster_situations,
                                    kmedoids)
-from situbandit.errors import ConfigError, TooFewCases
+from situbandit.errors import ConfigError
 from situbandit.ontology import Dimension
 from situbandit.simdata import balanced_taxonomy
 from situbandit.simindex import SituationIndex
@@ -54,7 +54,7 @@ def test_config_validation():
 
 def test_too_few_cases():
     sim = np.eye(3)
-    with pytest.raises(TooFewCases):
+    with pytest.raises(ConfigError, match="3 cases for 5 clusters"):
         kmedoids(sim, ClusteringConfig(num_clusters=5))
 
 
@@ -112,8 +112,8 @@ def test_kmedoids_deterministic_given_seed():
     assert np.array_equal(a.labels, b.labels)
 
 
-def test_cluster_situations_roundtrip(tiny_taxonomies):
-    cb = CaseBase(tiny_taxonomies)
+def test_cluster_situations_roundtrip(tiny_index):
+    cb = CaseBase(tiny_index)
     corners = [("La", "Ta", "Sa"), ("Lb", "Tb", "Sb")]
     rng = np.random.default_rng(2)
     for lp, tp, sp in corners:
@@ -137,8 +137,8 @@ def test_cluster_situations_roundtrip(tiny_taxonomies):
     assert all(len(v) == 1 for v in by_label.values())
 
 
-def test_similarity_matrix_matches_scalar_path(tiny_taxonomies):
-    cb = CaseBase(tiny_taxonomies)
+def test_similarity_matrix_matches_scalar_path(tiny_taxonomies, tiny_index):
+    cb = CaseBase(tiny_index)
     from oracles import weighted_similarity
     sits = [Situation("La1", "Ta2", "Sb1"), Situation("Lb2", "Tb1", "Sa2"),
             Situation("Lroot", "Troot", "Sroot")]

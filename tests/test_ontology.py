@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from situbandit.errors import MultiRootError, ParseError, UnknownConcept
+from situbandit.errors import ParseError, UnknownConcept
 from situbandit.ontology import (Dimension, depth, lcs, taxonomy_from_dict,
                                  taxonomy_to_dict, wu_palmer)
 from situbandit.simindex import concept_similarity_matrix
@@ -30,7 +30,7 @@ def test_node_under_two_parents_rejected():
         {"id": "France", "children": [{"id": "Paris"}]},
         {"id": "Belgium", "children": [{"id": "Paris"}]},
     ]}
-    with pytest.raises(MultiRootError):
+    with pytest.raises(ParseError, match="'Paris' appears under two parents"):
         taxonomy_from_dict(doc, Dimension.LOCATION)
 
 
