@@ -85,6 +85,35 @@ def random_slate(pool: Sequence[str], n: int,
     return [pool[i] for i in picks]
 
 
+def bounded_integer(r: int, next_uint32, state,
+                    rng: np.random.Generator) -> int:
+    """`int(rng.integers(r))` for an int r, drawn as numpy draws it, where
+    `next_uint32` and `state` are the fields of `rng.bit_generator.ctypes`,
+    bound once by the caller.
+
+    numpy answers a bound 1 < r <= 2**32 with Lemire's method ("Fast Random
+    Integer Generation in an Interval", ACM TOMACS 2019) over the bit
+    generator's `next_uint32`, and so does this: a 32-bit word x gives the
+    pick (x * r) >> 32, unless the low half of x * r is below 2**32 mod r,
+    when x is rejected and the next word drawn. The ctypes call is the
+    generator's own, so a buffered half-word (PCG64's, say) is used and
+    refilled in C and `rng.bit_generator.state` after each call is
+    numpy's. r = 1 draws nothing, as in numpy; any other bound goes to
+    `rng.integers` (its 64-bit path above 2**32, its error below 1).
+
+    The ctypes call skips the lock `Generator` methods take, so `rng` must
+    not be shared across threads while this runs.
+    """
+    if 1 < r <= 0x100000000:
+        m = next_uint32(state) * r
+        if m & 0xFFFFFFFF < r:  # the floor, 2**32 mod r, is below r
+            floor = 0x100000000 % r
+            while m & 0xFFFFFFFF < floor:
+                m = next_uint32(state) * r
+        return m >> 32
+    return 0 if r == 1 else int(rng.integers(r))
+
+
 def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
                    rng: np.random.Generator) -> List[str]:
     """Slate of up to n distinct documents: each pick exploits the argmax-CTR
@@ -101,13 +130,16 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
 
     Draws: each pick reads one raw 64-bit word x of the bit generator and
     explores when q = (x >> 11) * 2**-53 <= epsilon; an explore pick then
-    draws k = rng.integers(m - picked). For PCG64, q is exactly the double
-    `rng.random()` makes of the same word, and `random_raw`, like `random`,
-    leaves alone the buffered 32-bit half-word that `integers` reads. So
-    the draws, every slate and the final RNG state are those of one
-    `rng.random()` per pick. Other bit generators' raw words differ
+    draws k = `bounded_integer(m - picked, ...)` over the generator's own
+    `next_uint32`, the value and words of `rng.integers(m - picked)`. For
+    PCG64, q is exactly the double `rng.random()` makes of the same word,
+    and `random_raw`, like `random`, leaves alone the buffered 32-bit
+    half-word that `next_uint32` reads. So the draws, every slate and the
+    final RNG state are those of one `rng.random()` per pick and one
+    `rng.integers` per explore pick. Other bit generators' raw words differ
     (MT19937's are 32 bits wide), so `rng` must be PCG64-backed, as
-    `np.random.default_rng` is.
+    `np.random.default_rng` is, and, as for `bounded_integer`, not shared
+    across threads.
     """
     if not candidates.docs:
         raise EmptyCandidates("epsilon_greedy needs a non-empty candidate set")
@@ -116,7 +148,8 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
         raise TypeError(f"epsilon_greedy needs a PCG64 generator, got "
                         f"{type(bit_generator).__name__}")
     raw = bit_generator.random_raw
-    integers = rng.integers
+    ctypes = bit_generator.ctypes
+    next_uint32, state = ctypes.next_uint32, ctypes.state
     ranking = candidates.ranking()
     m = len(ranking)
     slate: List[str] = []
@@ -128,7 +161,8 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
     for picked in range(min(n, m)):
         if raw() < cut:  # explore
             # the k-th untaken position: shift past every taken one <= it
-            pos = first + int(integers(m - picked))
+            pos = first + bounded_integer(m - picked, next_uint32, state,
+                                          rng)
             if pos != first:
                 for p in above:
                     if p > pos:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .bandit import (BanditConfig, Branch, FeedbackSource,
                      GlobalEpsilonGreedy, Recommendation,
-                     RecommendationEngine, TrialRecord, random_slate, step)
+                     RecommendationEngine, TrialRecord, bounded_integer,
+                     random_slate, step)
 from .casebase import DocumentStats, UserPreferences
 from .errors import (ConfigError, LabelMismatch, ParseError, SitubanditError,
                      UnknownConcept, UnknownDoc, check_fields, check_kind)
@@ -39,8 +40,9 @@ SHOWN_CLICKED = DocumentStats(1, 1)
 ORGANIC_CLICK = DocumentStats(1, 0)
 
 #: The most 8-byte items one numpy array can hold, as its size in bytes
-#: must fit an intp: the bound on a replay's situation pool, and on the
-#: uniforms one feedback call draws for a slate and the organic visits.
+#: must fit an intp: the bound on a replay's situation pool, on the
+#: uniforms one feedback call draws for a slate and the organic visits,
+#: and on the concepts of one taxonomy.
 MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
 
 
@@ -67,6 +69,18 @@ class WorldConfig:
             raise ConfigError("groups, situations_per_group and docs must be >= 1")
         if self.taxonomy_depth < 2 or self.branching < 2:
             raise ConfigError("need taxonomy_depth >= 2 and branching >= 2")
+        # concepts per taxonomy, the sum of branching**k over its levels,
+        # summed level by level so that a huge depth stops early
+        concepts, level = 0, 1
+        for _ in range(self.taxonomy_depth):
+            concepts += level
+            if concepts > MAX_ARRAY_ITEMS:
+                raise ConfigError(
+                    f"world config taxonomy_depth {self.taxonomy_depth} "
+                    f"with branching {self.branching} makes taxonomies of "
+                    f"more than {MAX_ARRAY_ITEMS} concepts, the most items "
+                    f"a numpy array holds")
+            level *= self.branching
         if self.preferred_docs_per_group < 1:
             raise ConfigError("need preferred_docs_per_group >= 1")
         if self.preferred_docs_per_group * self.groups > self.docs:
@@ -166,14 +180,18 @@ class SyntheticWorld:
         document not yet in the feedback enters it, with one click and zero
         impressions, if its click test passes.
 
-        Each call makes three array draws: `rng.random(n + b)` for a slate
-        of n documents and b visits, the slate's click tests and then the
-        visits' preferred-set tests; one `rng.integers(bounds)` call whose
-        b exclusive bounds are `len(mine)` for a visit that passed its
-        preferred-set test and `n_docs` for the others; and the visits'
-        click tests `rng.random(b)`. A situation that is not in the world
-        raises `LabelMismatch`, and a slate document that is not in it
-        `UnknownDoc`, before anything is drawn.
+        Each call draws, in this order: `rng.random(n + b)` for a slate of
+        n documents and b visits, the slate's click tests and then the
+        visits' preferred-set tests; one pick per visit, below `len(mine)`
+        for a visit that passed its preferred-set test and below `n_docs`
+        for the others, each by `bandit.bounded_integer` over the
+        generator's own `next_uint32`, so the picks take the same words,
+        buffered half-words included, as one `rng.integers(bounds)` call
+        over the b bounds; and the visits' click tests `rng.random(b)`.
+        `rng` must not be shared across threads (see `bounded_integer`). A
+        situation that is not in the world raises `LabelMismatch`, and a
+        slate document that is not in it `UnknownDoc`, before anything is
+        drawn.
         """
         affinity = self.affinity
         doc_ids = self.doc_ids
@@ -185,7 +203,8 @@ class SyntheticWorld:
         visits = self.config.organic_browse
         good_bias = self.config.organic_good_bias
         random = rng.random
-        integers = rng.integers
+        ctypes = rng.bit_generator.ctypes
+        next_uint32, state = ctypes.next_uint32, ctypes.state
 
         def source(s: Situation, slate: List[str]) -> UserPreferences:
             try:
@@ -203,7 +222,8 @@ class SyntheticWorld:
             mine = preferred[group]
             good = [u < good_bias for u in uniforms[len(slate):]]
             n_mine = len(mine)
-            picks = integers([n_mine if g else n_docs for g in good]).tolist()
+            picks = [bounded_integer(n_mine if g else n_docs, next_uint32,
+                                     state, rng) for g in good]
             for g, k, u in zip(good, picks, random(visits).tolist()):
                 di = mine[k] if g else k
                 doc_id = doc_ids[di]
@@ -560,10 +580,11 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
     (a situation listed twice or naming a concept its taxonomy lacks, a
     doc id that is not a string or is listed twice, per-situation or
     per-group entries of the wrong length, fewer or more doc ids than the
-    config's docs, a group or document index out of range, occurrence
-    budgets that are not integers >= 0 or sum past MAX_ARRAY_ITEMS, an
-    affinity that is not a probability, an empty preferred list, a seed
-    that is not an integer >= 0) raise ParseError."""
+    config's docs, a group or document index that is not an integer (a
+    bool is not one) or out of range, occurrence budgets that are not
+    integers >= 0 or sum past MAX_ARRAY_ITEMS, an affinity that is not a
+    probability, an empty preferred list, a seed that is not an integer
+    >= 0) raise ParseError."""
     cfg = WorldConfig.from_dict(doc["config"])
     seed = doc["seed"]
     if type(seed) is not int or seed < 0:
@@ -593,9 +614,10 @@ def world_from_dict(doc: dict) -> SyntheticWorld:
             len(preferred) != cfg.groups:
         raise ParseError(f"affinity must be {cfg.groups} x {len(doc_ids)} "
                          f"and preferred must hold {cfg.groups} lists")
-    if not _are_indices(group_of.tolist(), cfg.groups):
+    # the JSON values, not the array's: np.asarray turns true into 1
+    if not _are_indices(doc["group_of"], cfg.groups):
         raise ParseError(f"group ids must be integers in [0, {cfg.groups})")
-    budgets = occurrences.tolist()
+    budgets = doc["occurrences"]
     if not _are_indices(budgets, MAX_ARRAY_ITEMS + 1) \
             or sum(budgets) > MAX_ARRAY_ITEMS:
         raise ParseError(f"occurrence budgets must be integers >= 0 that "

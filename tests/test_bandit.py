@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from situbandit import bandit
 from situbandit.bandit import (BanditConfig, Branch, EpsilonTunerState,
                                GlobalEpsilonGreedy, RecommendationEngine,
-                               epsilon_greedy, step, tune_epsilon)
+                               bounded_integer, epsilon_greedy, step,
+                               tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.errors import ConfigError, EmptyCandidates
 from situbandit.situation import Situation
@@ -180,6 +181,44 @@ def test_slates_match_oracle_after_half_used_word(counts, calls, seed):
         assert (epsilon_greedy(prefs, n, epsilon, rng)
                 == oracle_epsilon_greedy(mirror, n, epsilon, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# every bit generator numpy ships with a 32-bit draw, buffered (PCG64,
+# PCG64DXSM, Philox, SFC64) or native (MT19937)
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64]
+# no draw (1), both ends of numpy's 32-bit path, its 64-bit path past it,
+# a bound that rejects about half its words (2**31 + 7), and any other
+bounds = st.one_of(
+    st.sampled_from([1, 2, 2**31 + 7, 2**32 - 1, 2**32, 2**32 + 1]),
+    st.integers(1, 100), st.integers(1, 2**34))
+
+
+def plain_state(state):
+    """A `bit_generator.state` with its numpy arrays (MT19937's key,
+    Philox's counter) as lists, so that two states compare with ==."""
+    if isinstance(state, dict):
+        return {k: plain_state(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@given(st.sampled_from(BIT_GENERATORS), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 2), bounds), min_size=1,
+                max_size=20))
+def test_bounded_integer_matches_numpy(bit_generator, seed, draws):
+    # 0-2 `integers(7)` before each draw leave a buffered half-word behind
+    # at times; value and generator state must be numpy's after every draw
+    rng = np.random.Generator(bit_generator(seed))
+    want = np.random.Generator(bit_generator(seed))
+    ctypes = rng.bit_generator.ctypes
+    for skips, r in draws:
+        for _ in range(skips):
+            assert rng.integers(7) == want.integers(7)
+        got = bounded_integer(r, ctypes.next_uint32, ctypes.state, rng)
+        assert type(got) is int
+        assert got == int(want.integers(r))
+        assert (plain_state(rng.bit_generator.state)
+                == plain_state(want.bit_generator.state))
 
 
 def test_epsilon_greedy_needs_pcg64(candidates):

@@ -465,6 +465,11 @@ def test_readme_names_every_branch():
     ("gen-data", "world", {"organic_browse": 2**70}),
     # an int64, but more uniforms than one numpy array holds
     ("gen-data", "world", {"organic_browse": 2**62}),
+    # taxonomies of more concepts than one numpy array holds; built, the
+    # recursion would end in a RecursionError
+    pytest.param("gen-data", "world", {"taxonomy_depth": 2000,
+                                       "branching": 2},
+                 id="taxonomy-depth-2000"),
 ])
 def test_bad_world_config_is_a_clean_error(runner, tmp_path, command, key,
                                            entry):
@@ -518,6 +523,11 @@ def edited_world(**edits):
                  id="situation-in-two-groups"),
     pytest.param(edited_world(occurrences=lambda o: [-5] + o[1:]),
                  id="negative-occurrences"),
+    # JSON booleans, which numpy would read as the budget 1 and group 0
+    pytest.param(edited_world(occurrences=lambda o: [True] + o[1:]),
+                 id="occurrences-bool"),
+    pytest.param(edited_world(group_of=lambda g: [False] + g[1:]),
+                 id="group-of-bool"),
     pytest.param(edited_world(config=lambda c: dict(
         c, parent_perturb_prob=0.3)), id="retired-perturbation-knob"),
     pytest.param(edited_world(affinity=lambda a: [[str(x) for x in r]

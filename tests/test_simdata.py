@@ -52,9 +52,17 @@ def test_config_validation():
                 {"nav_entries_per_situation": -1},
                 {"organic_good_bias": 1.5},
                 {"high_affinity": (0.9, 0.5)}, {"high_affinity": (0.5, 1.7)},
-                {"background_affinity": (-0.01, 0.05)}):
+                {"background_affinity": (-0.01, 0.05)},
+                # taxonomies of more concepts than a numpy array holds,
+                # refused before any is built: 2**61 - 1 concepts, a depth
+                # that would overflow the recursive build, and a width
+                {"taxonomy_depth": 61, "branching": 2},
+                {"taxonomy_depth": 2000, "branching": 2},
+                {"taxonomy_depth": 3, "branching": 2**31}):
         with pytest.raises(ConfigError):
             WorldConfig(**bad)
+    # 2**60 - 1 concepts, exactly MAX_ARRAY_ITEMS, is a valid config
+    WorldConfig(taxonomy_depth=60, branching=2)
     # a mapping from a config file or world.json: lists stand for pairs,
     # and a key that is not a field is refused, the retired perturbation
     # knobs included
@@ -249,6 +257,11 @@ def oracle_feedback_source(world, rng):
     return source
 
 
+#: SMALL with one preferred document per group: a visit that passes its
+#: preferred-set test picks below a bound of 1, which draws nothing.
+ONE_PREFERRED_WORLD = generate_world(
+    dataclasses.replace(SMALL, preferred_docs_per_group=1), seed=1)
+
 SMALL_DOCS = SMALL_WORLD.doc_ids
 slates = st.one_of(
     st.just([]),
@@ -258,14 +271,18 @@ slates = st.one_of(
     st.lists(st.sampled_from(SMALL_DOCS), unique=True))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 8),
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([SMALL_WORLD, ONE_PREFERRED_WORLD]),
+       st.integers(0, 8),
        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
        st.integers(0, 2**32 - 1),
        st.lists(st.tuples(st.integers(0, len(SMALL_WORLD.situations) - 1),
                           slates),
                 min_size=1, max_size=20))
 def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls):
+    # slates and situation indices are drawn for SMALL_WORLD
+    assert world.doc_ids == SMALL_DOCS
+    assert len(world.situations) == len(SMALL_WORLD.situations)
     world = dataclasses.replace(world, config=dataclasses.replace(
         world.config, organic_browse=browse, organic_good_bias=bias))
     rng_want = np.random.default_rng(seed)
