@@ -42,7 +42,8 @@ ORGANIC_CLICK = DocumentStats(1, 0)
 #: The most 8-byte items one numpy array can hold, as its size in bytes
 #: must fit an intp: the bound on a replay's situation pool, on the
 #: uniforms one feedback call draws for a slate and the organic visits,
-#: and on the concepts of one taxonomy.
+#: on the concepts of one taxonomy, on the affinity matrix and on the
+#: diary's navigation rows.
 MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
 
 
@@ -89,10 +90,23 @@ class WorldConfig:
                      "nav_entries_per_situation"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"world config {name} must be >= 0")
-        if self.docs + self.organic_browse > MAX_ARRAY_ITEMS:
-            raise ConfigError(f"world config docs + organic_browse must be "
-                              f"<= {MAX_ARRAY_ITEMS}, the most items a numpy "
-                              f"array holds")
+        # the arrays a world needs, sized with Python ints (a field may be
+        # a numpy integer, which wraps): one feedback draw's uniforms, the
+        # occurrence budgets' sum, which load_world bounds too, the
+        # affinity matrix, and the diary's navigation rows
+        situations = int(self.groups) * int(self.situations_per_group)
+        for what, items in (
+                ("docs + organic_browse",
+                 int(self.docs) + int(self.organic_browse)),
+                ("occurrences_per_situation x groups x situations_per_group",
+                 int(self.occurrences_per_situation) * situations),
+                ("groups x docs", int(self.groups) * int(self.docs)),
+                ("nav_entries_per_situation x groups x situations_per_group",
+                 int(self.nav_entries_per_situation) * situations)):
+            if items > MAX_ARRAY_ITEMS:
+                raise ConfigError(f"world config {what} is {items}, more "
+                                  f"than {MAX_ARRAY_ITEMS}, the most items "
+                                  f"a numpy array holds")
         if not 0.0 <= self.organic_good_bias <= 1.0:
             raise ConfigError(
                 "world config organic_good_bias must be in [0, 1]")

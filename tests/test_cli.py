@@ -13,8 +13,8 @@ from situbandit import cli, simdata
 from situbandit.bandit import Branch
 from situbandit.cli import CONFIG_KEYS, main
 from situbandit.errors import SitubanditError
-from situbandit.simdata import (POLICY_NAMES, WorldConfig, generate_world,
-                                world_to_dict)
+from situbandit.simdata import (MAX_ARRAY_ITEMS, POLICY_NAMES, WorldConfig,
+                                generate_world, world_to_dict)
 
 TINY_WORLD = {
     "groups": 3,
@@ -465,6 +465,11 @@ def test_readme_names_every_branch():
     ("gen-data", "world", {"organic_browse": 2**70}),
     # an int64, but more uniforms than one numpy array holds
     ("gen-data", "world", {"organic_browse": 2**62}),
+    # occurrence budgets that sum past one numpy array: written, the world
+    # file would be refused by simulate
+    pytest.param("gen-data", "world",
+                 {"occurrences_per_situation": MAX_ARRAY_ITEMS // 4},
+                 id="occurrence-budgets-past-an-array"),
     # taxonomies of more concepts than one numpy array holds; built, the
     # recursion would end in a RecursionError
     pytest.param("gen-data", "world", {"taxonomy_depth": 2000,

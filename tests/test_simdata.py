@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from situbandit.bandit import BanditConfig
 from situbandit.casebase import DocumentStats, UserPreferences
-from situbandit.errors import ConfigError, LabelMismatch, UnknownDoc
+from situbandit.errors import (ConfigError, LabelMismatch, ParseError,
+                               UnknownDoc)
 from situbandit.ontology import Dimension
-from situbandit.simdata import (OraclePolicy, RandomPolicy, WorldConfig,
-                                _check_separation, balanced_taxonomy,
-                                build_policy, clustering_precision,
-                                export_diary, generate_world, load_world,
-                                replay_evaluate, save_world)
+from situbandit.simdata import (MAX_ARRAY_ITEMS, OraclePolicy, RandomPolicy,
+                                WorldConfig, _check_separation,
+                                balanced_taxonomy, build_policy,
+                                clustering_precision, export_diary,
+                                generate_world, load_world, replay_evaluate,
+                                save_world, world_to_dict)
 from situbandit.situation import Situation
 
 from oracles import separation_means, unweighted_similarity
@@ -58,11 +60,28 @@ def test_config_validation():
                 # that would overflow the recursive build, and a width
                 {"taxonomy_depth": 61, "branching": 2},
                 {"taxonomy_depth": 2000, "branching": 2},
-                {"taxonomy_depth": 3, "branching": 2**31}):
+                {"taxonomy_depth": 3, "branching": 2**31},
+                # worlds whose arrays hold more items than a numpy array
+                # does, refused before any is built: occurrence budgets
+                # that sum past it (load_world would refuse the file),
+                # a groups x docs affinity matrix, and navigation rows
+                {"groups": 2, "situations_per_group": 5, "docs": 40,
+                 "preferred_docs_per_group": 5,
+                 "occurrences_per_situation": MAX_ARRAY_ITEMS // 4},
+                {"groups": 4, "docs": 2**59, "preferred_docs_per_group": 1},
+                {"nav_entries_per_situation": 2**62},
+                # numpy integers whose int64 sum would wrap below the bound
+                {"docs": np.int64(2**62), "organic_browse": np.int64(2**62),
+                 "groups": 1, "preferred_docs_per_group": 1}):
         with pytest.raises(ConfigError):
             WorldConfig(**bad)
-    # 2**60 - 1 concepts, exactly MAX_ARRAY_ITEMS, is a valid config
+    # 2**60 - 1 concepts, exactly MAX_ARRAY_ITEMS, is a valid config, and
+    # so are budgets, affinities and navigation rows of that many items
     WorldConfig(taxonomy_depth=60, branching=2)
+    WorldConfig(groups=1, situations_per_group=1, docs=MAX_ARRAY_ITEMS,
+                preferred_docs_per_group=1, organic_browse=0,
+                occurrences_per_situation=MAX_ARRAY_ITEMS,
+                nav_entries_per_situation=MAX_ARRAY_ITEMS)
     # a mapping from a config file or world.json: lists stand for pairs,
     # and a key that is not a field is refused, the retired perturbation
     # knobs included
@@ -419,6 +438,68 @@ def test_world_roundtrip(world, tmp_path):
     # byte-identical re-save
     save_world(back, tmp_path / "world2.json")
     assert (tmp_path / "world2.json").read_bytes() == path.read_bytes()
+
+
+@st.composite
+def world_shapes(draw):
+    """A small world config's fields, with occurrence budgets up to 2**62:
+    small ones, any, and ones at the edge of a numpy array's length."""
+    groups = draw(st.integers(1, 10))
+    per_group = draw(st.integers(1, 20))
+    occurrences = draw(st.one_of(
+        st.integers(0, 100), st.integers(0, 2**62),
+        st.integers(-1, 1).map(
+            lambda d: MAX_ARRAY_ITEMS // (groups * per_group) + d)))
+    return dict(groups=groups, situations_per_group=per_group,
+                docs=draw(st.integers(1, 40)),
+                preferred_docs_per_group=draw(st.integers(1, 3)),
+                occurrences_per_situation=occurrences)
+
+
+@settings(max_examples=60, deadline=None)
+@given(world_shapes(), st.integers(0, 2**32))
+def test_generated_worlds_load_back_equal(tmp_path_factory, shape, seed):
+    # a world generate_world builds is one load_world reads back; what
+    # would not load is refused before it is built
+    try:
+        world = generate_world(WorldConfig(**shape), seed)
+    except ConfigError:
+        return
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    save_world(world, path)
+    assert world_to_dict(load_world(path)) == world_to_dict(world)
+
+
+TINY = WorldConfig(groups=2, situations_per_group=4, docs=8,
+                   preferred_docs_per_group=2, taxonomy_depth=3,
+                   branching=3, occurrences_per_situation=3,
+                   max_prototype_sim=2.2)
+# a saved world's bytes, as save_world writes them
+TINY_BYTES = json.dumps(world_to_dict(generate_world(TINY, 1)),
+                        separators=(",", ":"), sort_keys=True).encode()
+offsets = st.integers(0, len(TINY_BYTES) - 1)
+corrupted = st.one_of(
+    # truncated at any offset
+    offsets.map(lambda i: TINY_BYTES[:i]),
+    # one byte replaced by any other
+    st.tuples(offsets, st.integers(0, 255)).map(
+        lambda t: TINY_BYTES[:t[0]] + bytes([t[1]]) + TINY_BYTES[t[0] + 1:]),
+    # a short run of bytes deleted
+    st.tuples(offsets, st.integers(1, 8)).map(
+        lambda t: TINY_BYTES[:t[0]] + TINY_BYTES[t[0] + t[1]:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted)
+def test_corrupted_world_file_loads_or_is_refused(tmp_path_factory, data):
+    # a file cut short, with one byte changed or a few bytes missing,
+    # loads as a world or is refused with ParseError, and nothing else
+    path = tmp_path_factory.getbasetemp() / "corrupted.json"
+    path.write_bytes(data)
+    try:
+        load_world(path)
+    except ParseError:
+        pass
 
 
 def test_export_diary(world, tmp_path):
