@@ -3,8 +3,8 @@ replay simulation harness."""
 
 from .bandit import (BanditConfig, Branch, EpsilonTunerState,
                      GlobalEpsilonGreedy, Recommendation,
-                     RecommendationEngine, TrialRecord, epsilon_greedy,
-                     random_slate, step, tune_epsilon)
+                     RecommendationEngine, epsilon_greedy, random_slate,
+                     step, tune_epsilon)
 from .casebase import (Case, CaseBase, DocumentStats, RetrievalResult,
                        UserPreferences)
 from .clustering import (ClusteringConfig, ClusteringResult,

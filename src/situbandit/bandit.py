@@ -21,7 +21,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,14 +56,6 @@ class BanditConfig:
 class Branch(str, Enum):
     EPS_GREEDY = "eps-greedy"
     COLD_START = "cold-start"
-
-
-@dataclass(slots=True)
-class TrialRecord:
-    situation: Situation
-    shown: List[str]
-    clicks: Dict[str, int]
-    branch: Branch
 
 
 @dataclass(slots=True)
@@ -237,15 +229,15 @@ class GlobalEpsilonGreedy:
 
 
 def step(policy, situation: Situation,
-         feedback_source: FeedbackSource) -> TrialRecord:
+         feedback_source: FeedbackSource) -> Tuple[Recommendation, int]:
     """One trial: ask `policy` for a slate, collect its feedback and let
-    the policy absorb it."""
+    the policy absorb it. Returns the recommendation and the clicks on its
+    slate."""
     rec = policy.recommend(situation)
     feedback = feedback_source(situation, rec.slate)
-    docs = feedback.docs
-    clicks = {d: c for d in rec.slate if (c := docs[d].clicks)}
+    clicks = sum(feedback.docs[d].clicks for d in rec.slate)
     policy.observe(situation, rec, feedback)
-    return TrialRecord(situation, rec.slate, clicks, rec.branch)
+    return rec, clicks
 
 
 @dataclass
@@ -277,11 +269,12 @@ class EpsilonTunerState:
 
 def tune_epsilon(state: EpsilonTunerState,
                  run_episode: Callable[[float], float],
-                 rng: np.random.Generator) -> Tuple[float, EpsilonTunerState]:
+                 rng: np.random.Generator) -> Tuple[float, float]:
     """One tuning round: pick a candidate epsilon (argmax-weight with
     probability tau = min(1, 0.01 t), otherwise uniformly among untried
     candidates, falling back to all once every candidate was tried), run
-    one episode with it, and add the observed clicks to its weight."""
+    one episode with it, and add the observed clicks to its weight.
+    Returns the candidate and the episode's clicks."""
     t = state.trial_index + 1
     tau = min(1.0, 0.01 * t)
     q = rng.random()
@@ -297,4 +290,4 @@ def tune_epsilon(state: EpsilonTunerState,
     state.weights[i] += clicks
     state.tried.add(i)
     state.trial_index = t
-    return state.candidates[i], state
+    return state.candidates[i], clicks

@@ -168,7 +168,7 @@ def cmd_simulate(config_path, world_path, policy, seed, out_path):
     world = load_world(world_path)
     pol = build_policy(policy, world, _bandit_config(cfg, base))
     report = replay_evaluate(pol, world, **_replay_keys(cfg),
-                             seed=base + 10 ** 6, keep_trials=False)
+                             seed=base + 10 ** 6)
     report.to_tsv(out_path)
     click.echo(f"{policy}: final avg CTR {report.final_avctr:.4f} "
                f"-> {out_path}")
@@ -201,7 +201,7 @@ def cmd_sweep(config_path, world_path, param, grid, seeds_flag, policy,
     for value, s, bandit_cfg in runs:
         pol = build_policy(policy, world, bandit_cfg)
         report = replay_evaluate(pol, world, **_replay_keys(cfg),
-                                 seed=s + 10 ** 6, keep_trials=False)
+                                 seed=s + 10 ** 6)
         lines.append(f"{param}\t{value:g}\t{s}\t{report.final_avctr:.6f}")
     Path(out_path).write_text("\n".join(lines) + "\n")
     click.echo(f"{len(values) * len(seeds)} runs -> {out_path}")
@@ -237,15 +237,13 @@ def cmd_tune_epsilon(config_path, world_path, seed, out_path):
         clicks = 0
         for _ in range(episode_length):
             s = world.situations[int(rng.integers(n_situations))]
-            clicks += sum(step(engine, s, source).clicks.values())
+            clicks += step(engine, s, source)[1]
         return clicks
 
     lines = ["round\tepsilon\tclicks\t"
              + "\t".join(f"w_{e:g}" for e in candidates)]
     for _ in range(rounds):
-        before = list(state.weights)
-        chosen, state = tune_epsilon(state, run_episode, rng)
-        clicks = sum(a - b for a, b in zip(state.weights, before))
+        chosen, clicks = tune_epsilon(state, run_episode, rng)
         weights = "\t".join(f"{w:g}" for w in state.weights)
         lines.append(f"{state.trial_index}\t{chosen:g}\t{clicks:g}\t{weights}")
     Path(out_path).write_text("\n".join(lines) + "\n")

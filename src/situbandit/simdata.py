@@ -17,15 +17,15 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bandit import (BanditConfig, Branch, FeedbackSource,
-                     GlobalEpsilonGreedy, Recommendation,
-                     RecommendationEngine, TrialRecord, bounded_integer,
-                     random_slate, step)
+                     GlobalEpsilonGreedy, Recommendation, RecommendationEngine,
+                     bounded_integer, random_slate, step)
 from .casebase import DocumentStats, UserPreferences
 from .errors import (ConfigError, LabelMismatch, ParseError, SitubanditError,
                      UnknownConcept, UnknownDoc, check_fields, check_kind)
@@ -414,7 +414,6 @@ class EvalReport:
     branch_counts: Dict[str, int]
     total_clicks: int
     total_displays: int
-    trials: List[TrialRecord] = field(default_factory=list, repr=False)
 
     @property
     def final_avctr(self) -> float:
@@ -433,12 +432,22 @@ class EvalReport:
 
 def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
                     report_period: int = 1000, seed: int = 0,
-                    keep_trials: bool = True) -> EvalReport:
+                    keep_trials: bool = False) -> EvalReport:
     """Offline replay: draw situations from the occurrence multiset, ask the
     policy for a slate, sample clicks, feed them back, and log cumulative
-    average CTR every `report_period` iterations."""
+    average CTR every `report_period` iterations.
+
+    The replay keeps no trial log: trials are recorded at the policy
+    boundary, by a proxy policy whose `observe` sees each one."""
+    # kept for perfbench, which passes keep_trials=False
+    if keep_trials:
+        raise ConfigError("replay_evaluate keeps no trial log; record "
+                          "trials in the policy's observe")
     check_kind("iterations", iterations, int)
     check_kind("report_period", report_period, int)
+    # no upper bound: the CLI replays with its own seed + 10**6
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     if report_period < 1:
         raise ConfigError("report_period must be >= 1")
     if iterations < report_period:
@@ -456,20 +465,16 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
     displays = 0
     series: List[Tuple[int, float, Dict[str, int]]] = []
     branch_counts: Dict[str, int] = {b.value: 0 for b in Branch}
-    trials: List[TrialRecord] = []
     for i in range(iterations):
-        trial = step(policy, world.situations[flat[i]], source)
-        clicks += sum(trial.clicks.values())
-        displays += len(trial.shown)
-        branch_counts[trial.branch.value] += 1
-        if keep_trials:
-            trials.append(trial)
+        rec, trial_clicks = step(policy, world.situations[flat[i]], source)
+        clicks += trial_clicks
+        displays += len(rec.slate)
+        branch_counts[rec.branch.value] += 1
         if (i + 1) % report_period == 0:
             series.append((i + 1, clicks / displays if displays else 0.0,
                            dict(branch_counts)))
     return EvalReport(series=series, branch_counts=branch_counts,
-                      total_clicks=clicks, total_displays=displays,
-                      trials=trials)
+                      total_clicks=clicks, total_displays=displays)
 
 
 class RandomPolicy:

@@ -3,8 +3,9 @@
 Each test covers one numbered criterion, runs on fixed seeds with fixed
 tolerances and a runtime budget, and prints a single pass/fail line
 (visible in the -rA summary). The multi-run replay criteria (5-7) share
-one synthetic world; every one of their runs is recounted from the raw
-trial log and the recount is checked exactly in criterion 9.
+one synthetic world; every one of their runs is recounted from the trials
+recorded at the policy boundary, and the recount is checked exactly in
+criterion 9.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from situbandit.simindex import SituationIndex
 from situbandit.situation import Situation
 
 from conftest import brute_force_wu_palmer, random_tree
-from oracles import oracle_greedy_top_n
+from oracles import TrialLog, oracle_greedy_top_n
 
 RUN_SEEDS = list(range(1, 11))
 EPS_GRID = [0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
@@ -63,14 +64,15 @@ def world():
 
 def run_replay(criterion, policy_name, world, seed, epsilon=0.1, b=2.4,
                iterations=10000):
-    pol = build_policy(policy_name, world,
-                       BanditConfig(epsilon=epsilon, threshold_b=b,
-                                    seed=seed))
-    rep = replay_evaluate(pol, world, iterations=iterations,
+    log = TrialLog(build_policy(policy_name, world,
+                                BanditConfig(epsilon=epsilon, threshold_b=b,
+                                             seed=seed)))
+    rep = replay_evaluate(log, world, iterations=iterations,
                           report_period=1000, seed=seed + 1000)
-    # independent recount from the raw trial log (criterion 9)
-    clicks = sum(sum(t.clicks.values()) for t in rep.trials)
-    displays = sum(len(t.shown) for t in rep.trials)
+    # independent recount from the trials recorded at the policy boundary
+    # (criterion 9)
+    clicks = sum(sum(t.clicks.values()) for t in log.trials)
+    displays = sum(len(t.shown) for t in log.trials)
     recounted = clicks / displays if displays else 0.0
     RECOUNTS.append((criterion, recounted == rep.final_avctr))
     return rep.final_avctr
@@ -253,8 +255,8 @@ def test_criterion_8_tuner_convergence():
         rng = np.random.default_rng(800 + rep)
         state = EpsilonTunerState(list(candidates))
         for _ in range(500):
-            _, state = tune_epsilon(
-                state, lambda e: float(rng.random() < payoff[e]), rng)
+            tune_epsilon(state, lambda e: float(rng.random() < payoff[e]),
+                         rng)
         hits += state.best == 0.1
     elapsed = time.perf_counter() - t0
     ok = hits >= 95 and elapsed < 120.0

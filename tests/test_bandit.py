@@ -14,7 +14,7 @@ from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.errors import ConfigError, EmptyCandidates
 from situbandit.situation import Situation
 
-from oracles import oracle_greedy_top_n
+from oracles import oracle_epsilon_greedy, oracle_greedy_top_n
 
 
 def stats(clicks, impressions):
@@ -104,22 +104,6 @@ def test_epsilon_one_is_uniform(candidates):
     expect = n / 5
     for doc in candidates.docs:
         assert abs(counts[doc] - expect) < 5 * np.sqrt(expect)
-
-
-# Reference selection: re-score and re-sort every candidate on each call,
-# reading nothing but `docs`.
-
-def oracle_epsilon_greedy(candidates, n, epsilon, rng):
-    remaining = oracle_greedy_top_n(candidates, len(candidates.docs))
-    slate = []
-    for _ in range(min(n, len(remaining))):
-        q = rng.random()
-        if q > epsilon:
-            pick = 0
-        else:
-            pick = int(rng.integers(len(remaining)))
-        slate.append(remaining.pop(pick))
-    return slate
 
 
 doc_ids = st.sampled_from([f"d{i:02d}" for i in range(40)])
@@ -295,7 +279,7 @@ def test_engine_deterministic_given_seed(tiny_index):
         for _ in range(30):
             s = Situation(f"La{rng.integers(1, 3)}",
                           f"Ta{rng.integers(1, 3)}", "Sa1")
-            slates.append(step(eng, s, feedback_all_clicked).shown)
+            slates.append(step(eng, s, feedback_all_clicked)[0].slate)
         return slates
 
     assert run() == run()
@@ -327,7 +311,8 @@ def test_tuner_explores_all_then_exploits_best():
     payout = {0.0: 1.0, 0.1: 10.0, 0.5: 2.0, 1.0: 0.5}
     chosen = []
     for _ in range(300):
-        eps, state = tune_epsilon(state, lambda e: payout[e], rng)
+        eps, clicks = tune_epsilon(state, lambda e: payout[e], rng)
+        assert clicks == payout[eps]
         chosen.append(eps)
     assert state.tried == {0, 1, 2, 3}
     assert state.best == 0.1
@@ -339,6 +324,6 @@ def test_tuner_weight_bookkeeping():
     state = EpsilonTunerState(candidates=[0.2])
     rng = np.random.default_rng(1)
     for clicks in (3.0, 4.0):
-        _, state = tune_epsilon(state, lambda e: clicks, rng)
+        assert tune_epsilon(state, lambda e: clicks, rng) == (0.2, clicks)
     assert state.weights == [1.0 + 3.0 + 4.0]
     assert state.trial_index == 2

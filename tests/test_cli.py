@@ -253,6 +253,20 @@ def test_out_of_range_values_are_clean_errors(runner, tmp_path):
         assert not (tmp_path / "o.tsv").exists()
 
 
+def test_largest_seed_replays(runner, tmp_path):
+    # the replay seed is the CLI seed + 10**6, past int64 for the largest
+    # seed a bandit config holds; a replay seeds numpy from any integer
+    # >= 0
+    world_path, cfg = gen_world(runner, tmp_path)
+    top = str(2**63 - 1)
+    world = ["--config", str(cfg), "--world", str(world_path)]
+    for args in (["simulate", *world, "--seed", top],
+                 ["sweep", *world, "--param", "epsilon", "--grid", "0.1",
+                  "--seeds", top]):
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "o.tsv")])
+        assert res.exit_code == 0, (args, res.output)
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("simulate", "slate_size", 2.5),
     ("simulate", "slate_size", "3"),
@@ -448,6 +462,17 @@ def test_readme_names_every_branch():
     header = text.split("- **report TSV** (`simulate`) — `")[1].split("`")[0]
     assert header.split() == ["iteration", "avg_ctr",
                               *[b.value for b in Branch]]
+
+
+def test_readme_library_use_runs(capsys):
+    # README's "Library use" block runs as printed: a final AVCTR line and
+    # a medoid line
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library use")[1].split("```python\n")[1]
+    exec(compile(block.split("```")[0], "README.md", "exec"), {})
+    avctr, medoids = capsys.readouterr().out.splitlines()
+    assert 0.0 < float(avctr) < 1.0
+    assert medoids.startswith("[")
 
 
 @pytest.mark.parametrize("command, key, entry", [

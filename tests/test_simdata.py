@@ -2,13 +2,13 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from situbandit.bandit import BanditConfig
-from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.errors import (ConfigError, LabelMismatch, ParseError,
                                UnknownDoc)
 from situbandit.ontology import Dimension
@@ -20,7 +20,8 @@ from situbandit.simdata import (MAX_ARRAY_ITEMS, OraclePolicy, RandomPolicy,
                                 save_world, world_to_dict)
 from situbandit.situation import Situation
 
-from oracles import separation_means, unweighted_similarity
+from oracles import (TrialLog, oracle_feedback_source, reference_replay,
+                     separation_means, unweighted_similarity)
 
 
 SMALL = WorldConfig(groups=4, situations_per_group=10, docs=30,
@@ -241,41 +242,6 @@ def test_feedback_source_semantics(world):
         assert fb.docs[d].impressions == 0 and fb.docs[d].clicks == 1
 
 
-def oracle_feedback_source(world, rng):
-    """The feedback closure with the visit rules in plain Python: it draws
-    the slate's click tests, the preferred-set tests, the picks and the
-    visits' click tests in four separate calls, then reads them one slate
-    document and one visit at a time. The closure merges the first two
-    into one draw; the oracle keeps them apart because it is the reference
-    that merged draw must equal, in values and in the RNG state after."""
-    cfg = world.config
-    b = cfg.organic_browse
-    n_docs = len(world.doc_ids)
-
-    def source(s, slate):
-        group = world.group_of_situation(s)
-        row = world.affinity[group]
-        mine = world.preferred[group]
-        u_slate = rng.random(len(slate))
-        good = rng.random(b) < cfg.organic_good_bias
-        picks = rng.integers(np.where(good, len(mine), n_docs))
-        u_visit = rng.random(b)
-        docs = {}
-        for doc_id, u in zip(slate, u_slate):
-            click = int(u < row[world._doc_idx[doc_id]])
-            docs[doc_id] = DocumentStats(clicks=click, impressions=1)
-        for v in range(b):
-            di = mine[int(picks[v])] if good[v] else int(picks[v])
-            doc_id = world.doc_ids[di]
-            # every visit has its click test; one for a document already
-            # in the feedback is drawn but changes nothing
-            if doc_id not in docs and u_visit[v] < row[di]:
-                docs[doc_id] = DocumentStats(clicks=1, impressions=0)
-        return UserPreferences(docs)
-
-    return source
-
-
 #: SMALL with one preferred document per group: a visit that passes its
 #: preferred-set test picks below a bound of 1, which draws nothing.
 ONE_PREFERRED_WORLD = generate_world(
@@ -321,29 +287,32 @@ def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls):
 
 
 def test_replay_basic_accounting(world):
-    report = replay_evaluate(RandomPolicy(world.doc_ids, slate_size=5),
-                             world, iterations=200, report_period=50, seed=3)
+    log = TrialLog(RandomPolicy(world.doc_ids, slate_size=5))
+    report = replay_evaluate(log, world, iterations=200, report_period=50,
+                             seed=3)
     assert [it for it, _, _ in report.series] == [50, 100, 150, 200]
     assert report.total_displays == 200 * 5
     assert report.final_avctr == report.series[-1][1]
     assert sum(report.branch_counts.values()) == 200
-    assert len(report.trials) == 200
-    # recount from the trial log matches exactly
-    clicks = sum(sum(t.clicks.values()) for t in report.trials)
-    displays = sum(len(t.shown) for t in report.trials)
+    assert len(log.trials) == 200
+    # recount from the trials recorded at the policy boundary matches
+    # exactly
+    clicks = sum(sum(t.clicks.values()) for t in log.trials)
+    displays = sum(len(t.shown) for t in log.trials)
     assert clicks / displays == report.final_avctr
 
 
 def test_replay_is_deterministic(world):
     def run():
-        return replay_evaluate(
-            build_policy("clustering-eps-greedy", world,
-                         BanditConfig(slate_size=5, seed=2)),
-            world, iterations=150, report_period=50, seed=4)
+        log = TrialLog(build_policy("clustering-eps-greedy", world,
+                                    BanditConfig(slate_size=5, seed=2)))
+        report = replay_evaluate(log, world, iterations=150,
+                                 report_period=50, seed=4)
+        return report, log.trials
 
-    a, b = run(), run()
+    (a, a_trials), (b, b_trials) = run(), run()
     assert a.total_clicks == b.total_clicks
-    assert [t.shown for t in a.trials] == [t.shown for t in b.trials]
+    assert [t.shown for t in a_trials] == [t.shown for t in b_trials]
 
 
 # The replay streams these runs produce: SHA-256 of the (situation, slate,
@@ -364,14 +333,70 @@ def test_golden_stream(world, policy):
     situation order. A change meant to keep the streams bit-identical must
     pass it unchanged; a change that moves them on purpose updates both
     constants and says so in CHANGES.md."""
-    report = replay_evaluate(build_policy(policy, world, seed=3), world,
-                             iterations=800, report_period=100, seed=4)
+    log = TrialLog(build_policy(policy, world, seed=3))
+    report = replay_evaluate(log, world, iterations=800, report_period=100,
+                             seed=4)
     digest = hashlib.sha256()
-    for t in report.trials:
+    for t in log.trials:
         digest.update(json.dumps([t.situation.as_tuple(), t.shown,
                                   sorted(t.clicks.items()),
                                   t.branch.value]).encode() + b"\n")
     assert (digest.hexdigest(), report.final_avctr) == GOLDEN_STREAMS[policy]
+
+
+@st.composite
+def reference_runs(draw):
+    """A small world's config and seed, a bandit config, a learning policy,
+    a replay length and a replay seed. Taxonomies of 3 to 13 concepts make
+    tied case scans, exact hits and scans at B = 3 common."""
+    groups = draw(st.integers(1, 3))
+    docs = draw(st.integers(groups, 12))
+    world_cfg = dict(
+        groups=groups,
+        situations_per_group=draw(st.integers(1, 8)),
+        docs=docs,
+        taxonomy_depth=draw(st.integers(2, 3)),
+        branching=draw(st.integers(2, 3)),
+        preferred_docs_per_group=draw(st.integers(1, min(3, docs // groups))),
+        occurrences_per_situation=draw(st.integers(1, 40)),
+        organic_browse=draw(st.integers(0, 4)),
+        organic_good_bias=draw(st.floats(0.0, 1.0)),
+        max_prototype_sim=draw(st.floats(1.0, 3.0)),
+        nav_entries_per_situation=0)
+    bandit_cfg = BanditConfig(
+        epsilon=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        threshold_b=draw(st.sampled_from([0.0, 3.0]) | st.floats(0.0, 3.0)),
+        slate_size=draw(st.integers(1, docs + 2)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+    budget = (world_cfg["groups"] * world_cfg["situations_per_group"]
+              * world_cfg["occurrences_per_situation"])
+    return (world_cfg, draw(st.integers(0, 100)), bandit_cfg,
+            draw(st.sampled_from(["clustering-eps-greedy", "eps-greedy"])),
+            min(draw(st.just(300) | st.integers(1, 300)), budget),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_runs())
+def test_replay_matches_reference(run):
+    # the whole trial stream, as the policy boundary records it, and the
+    # final states of the policy's and the replay's generators equal the
+    # slow reference's
+    world_cfg, world_seed, bandit_cfg, policy, iterations, seed = run
+    try:
+        world = generate_world(WorldConfig(**world_cfg), seed=world_seed)
+    except ConfigError:
+        assume(False)
+    log = TrialLog(build_policy(policy, world, bandit_cfg))
+    with mock.patch.object(world, "feedback_source",
+                           wraps=world.feedback_source) as source:
+        replay_evaluate(log, world, iterations=iterations,
+                        report_period=iterations, seed=seed)
+    replay_rng = source.call_args.args[0]
+    got = (log.trials, log.policy.rng.bit_generator.state,
+           replay_rng.bit_generator.state)
+    assert got == reference_replay(world, policy, bandit_cfg, iterations,
+                                   seed)
 
 
 def test_replay_guards(world):
@@ -383,6 +408,18 @@ def test_replay_guards(world):
     budget = int(world.occurrences.sum())
     with pytest.raises(ConfigError, match="situation pool holds"):
         replay_evaluate(pol, world, iterations=budget + 1, report_period=1)
+    # a bool, a non-integer or a negative seed is refused before anything
+    # is drawn
+    for seed in (-1, 1.5, True, np.float64(2.0), "3"):
+        with pytest.raises(ConfigError, match="seed must be"):
+            replay_evaluate(pol, world, iterations=10, report_period=10,
+                            seed=seed)
+    assert pol.rng.bit_generator.state == RandomPolicy(
+        world.doc_ids).rng.bit_generator.state
+    # no trial log is kept: trials are recorded at the policy boundary
+    with pytest.raises(ConfigError, match="no trial log"):
+        replay_evaluate(pol, world, iterations=10, report_period=10,
+                        keep_trials=True)
 
 
 def test_oracle_beats_random(world):
