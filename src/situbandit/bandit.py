@@ -235,7 +235,8 @@ def step(policy, situation: Situation,
     slate."""
     rec = policy.recommend(situation)
     feedback = feedback_source(situation, rec.slate)
-    clicks = sum(feedback.docs[d].clicks for d in rec.slate)
+    docs = feedback.docs
+    clicks = sum([docs[d].clicks for d in rec.slate])
     policy.observe(situation, rec, feedback)
     return rec, clicks
 

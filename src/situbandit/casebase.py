@@ -84,8 +84,9 @@ class UserPreferences:
                                   doc_id))
                 continue
             clicks, impressions = mine
-            new_clicks = clicks + stats.clicks
-            new_impressions = impressions + stats.impressions
+            add_clicks, add_impressions = stats
+            new_clicks = clicks + add_clicks
+            new_impressions = impressions + add_impressions
             docs[doc_id] = make(DocumentStats, (new_clicks, new_impressions))
             if keys is not None:
                 old = -ctr(clicks, impressions)

@@ -71,16 +71,18 @@ class WorldConfig:
         if self.taxonomy_depth < 2 or self.branching < 2:
             raise ConfigError("need taxonomy_depth >= 2 and branching >= 2")
         # concepts per taxonomy, the sum of branching**k over its levels,
-        # summed level by level so that a huge depth stops early
+        # summed level by level so that a huge depth stops early; the
+        # index holds a concepts x concepts similarity matrix per taxonomy
         concepts, level = 0, 1
         for _ in range(self.taxonomy_depth):
             concepts += level
-            if concepts > MAX_ARRAY_ITEMS:
+            if concepts * concepts > MAX_ARRAY_ITEMS:
                 raise ConfigError(
                     f"world config taxonomy_depth {self.taxonomy_depth} "
-                    f"with branching {self.branching} makes taxonomies of "
-                    f"more than {MAX_ARRAY_ITEMS} concepts, the most items "
-                    f"a numpy array holds")
+                    f"with branching {self.branching} makes taxonomies "
+                    f"whose concepts x concepts similarity matrix holds "
+                    f"more than {MAX_ARRAY_ITEMS} items, the most a numpy "
+                    f"array holds")
             level *= self.branching
         if self.preferred_docs_per_group < 1:
             raise ConfigError("need preferred_docs_per_group >= 1")
@@ -206,8 +208,14 @@ class SyntheticWorld:
         situation that is not in the world raises `LabelMismatch`, and a
         slate document that is not in it `UnknownDoc`, before anything is
         drawn.
+
+        Affinities are read through one `memoryview` per group row, made
+        when the source is, of the affinities as native float64 (copied
+        only when held in another dtype, such as integer 0/1): any layout
+        and any real dtype give the click tests `row.item(i)` would.
         """
-        affinity = self.affinity
+        rows = [memoryview(row)
+                for row in np.asarray(self.affinity, dtype=np.float64)]
         doc_ids = self.doc_ids
         doc_idx = self._doc_idx
         situation_idx = self._situation_idx
@@ -225,23 +233,25 @@ class SyntheticWorld:
                 group = group_of[situation_idx[s]]
             except KeyError:
                 group = self.group_of_situation(s)  # raises LabelMismatch
-            row = affinity[group]
+            row = rows[group]
             try:
                 idx = [doc_idx[doc_id] for doc_id in slate]
             except KeyError as e:
                 raise UnknownDoc(e.args[0]) from None
             uniforms = random(len(slate) + visits).tolist()
-            docs = {doc_id: SHOWN_CLICKED if u < row.item(i) else SHOWN
+            docs = {doc_id: SHOWN_CLICKED if u < row[i] else SHOWN
                     for doc_id, u, i in zip(slate, uniforms, idx)}
             mine = preferred[group]
-            good = [u < good_bias for u in uniforms[len(slate):]]
             n_mine = len(mine)
-            picks = [bounded_integer(n_mine if g else n_docs, next_uint32,
-                                     state, rng) for g in good]
-            for g, k, u in zip(good, picks, random(visits).tolist()):
-                di = mine[k] if g else k
+            # each visit's document index: a pick from the preferred set
+            # if its preferred-set test passed, else from every document
+            visited = [mine[bounded_integer(n_mine, next_uint32, state, rng)]
+                       if u < good_bias else
+                       bounded_integer(n_docs, next_uint32, state, rng)
+                       for u in uniforms[len(slate):]]
+            for di, u in zip(visited, random(visits).tolist()):
                 doc_id = doc_ids[di]
-                if doc_id not in docs and u < row.item(di):
+                if doc_id not in docs and u < row[di]:
                     docs[doc_id] = ORGANIC_CLICK
             return UserPreferences(docs)
 
@@ -437,8 +447,12 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
     policy for a slate, sample clicks, feed them back, and log cumulative
     average CTR every `report_period` iterations.
 
-    The replay keeps no trial log: trials are recorded at the policy
-    boundary, by a proxy policy whose `observe` sees each one."""
+    The shuffled order is taken once, as an object array of the drawn
+    situations (8 bytes a trial, as the shuffled indices are), and the
+    branches are counted by `Branch` member, turned into their `.value`
+    keys only when a report row is written. The replay keeps no trial log:
+    trials are recorded at the policy boundary, by a proxy policy whose
+    `observe` sees each one."""
     # kept for perfbench, which passes keep_trials=False
     if keep_trials:
         raise ConfigError("replay_evaluate keeps no trial log; record "
@@ -458,22 +472,26 @@ def replay_evaluate(policy, world: SyntheticWorld, iterations: int = 10000,
             f"situation pool holds {total_budget} draws, "
             f"{iterations} requested")
     rng = np.random.default_rng(seed)
-    flat = np.repeat(np.arange(len(world.situations)), world.occurrences)
+    situations = world.situations
+    flat = np.repeat(np.arange(len(situations)), world.occurrences)
     rng.shuffle(flat)
+    order = np.fromiter(situations, dtype=object,
+                        count=len(situations)).take(flat[:iterations])
     source = world.feedback_source(rng)
     clicks = 0
     displays = 0
     series: List[Tuple[int, float, Dict[str, int]]] = []
-    branch_counts: Dict[str, int] = {b.value: 0 for b in Branch}
-    for i in range(iterations):
-        rec, trial_clicks = step(policy, world.situations[flat[i]], source)
+    counts = dict.fromkeys(Branch, 0)
+    for i, situation in enumerate(order, 1):
+        rec, trial_clicks = step(policy, situation, source)
         clicks += trial_clicks
         displays += len(rec.slate)
-        branch_counts[rec.branch.value] += 1
-        if (i + 1) % report_period == 0:
-            series.append((i + 1, clicks / displays if displays else 0.0,
-                           dict(branch_counts)))
-    return EvalReport(series=series, branch_counts=branch_counts,
+        counts[rec.branch] += 1
+        if i % report_period == 0:
+            series.append((i, clicks / displays if displays else 0.0,
+                           {b.value: n for b, n in counts.items()}))
+    return EvalReport(series=series,
+                      branch_counts={b.value: n for b, n in counts.items()},
                       total_clicks=clicks, total_displays=displays)
 
 

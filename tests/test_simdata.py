@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from situbandit.bandit import BanditConfig
+from situbandit.bandit import BanditConfig, Branch
 from situbandit.errors import (ConfigError, LabelMismatch, ParseError,
                                UnknownDoc)
 from situbandit.ontology import Dimension
@@ -56,9 +56,11 @@ def test_config_validation():
                 {"organic_good_bias": 1.5},
                 {"high_affinity": (0.9, 0.5)}, {"high_affinity": (0.5, 1.7)},
                 {"background_affinity": (-0.01, 0.05)},
-                # taxonomies of more concepts than a numpy array holds,
-                # refused before any is built: 2**61 - 1 concepts, a depth
+                # taxonomies whose concepts x concepts similarity matrix
+                # holds more items than a numpy array does, refused before
+                # any is built: 2**31 - 1 concepts, 2**61 - 1, a depth
                 # that would overflow the recursive build, and a width
+                {"taxonomy_depth": 31, "branching": 2},
                 {"taxonomy_depth": 61, "branching": 2},
                 {"taxonomy_depth": 2000, "branching": 2},
                 {"taxonomy_depth": 3, "branching": 2**31},
@@ -76,9 +78,11 @@ def test_config_validation():
                  "groups": 1, "preferred_docs_per_group": 1}):
         with pytest.raises(ConfigError):
             WorldConfig(**bad)
-    # 2**60 - 1 concepts, exactly MAX_ARRAY_ITEMS, is a valid config, and
-    # so are budgets, affinities and navigation rows of that many items
-    WorldConfig(taxonomy_depth=60, branching=2)
+    # 2**30 - 1 concepts, whose similarity matrix of (2**30 - 1)**2 items
+    # fits in MAX_ARRAY_ITEMS, is a valid config, and so are budgets,
+    # affinities and navigation rows of MAX_ARRAY_ITEMS items
+    assert (2**30 - 1)**2 <= MAX_ARRAY_ITEMS
+    WorldConfig(taxonomy_depth=30, branching=2)
     WorldConfig(groups=1, situations_per_group=1, docs=MAX_ARRAY_ITEMS,
                 preferred_docs_per_group=1, organic_browse=0,
                 occurrences_per_situation=MAX_ARRAY_ITEMS,
@@ -256,6 +260,28 @@ slates = st.one_of(
     st.lists(st.sampled_from(SMALL_DOCS), unique=True))
 
 
+def _affinity_layout(affinity, layout):
+    """The affinity matrix as a C-ordered array, a Fortran-ordered copy, a
+    strided view of a wider array, big-endian doubles, or int64 0/1
+    values."""
+    if layout == "fortran":
+        out = np.asfortranarray(affinity)
+        assert not out.flags.c_contiguous
+    elif layout == "strided":
+        out = np.repeat(affinity, 2, axis=1)[:, ::2]
+        assert not out.flags.c_contiguous and not out.flags.f_contiguous
+    elif layout == "big-endian":
+        out = affinity.astype(">f8")
+        assert not out.dtype.isnative
+    elif layout == "int64":
+        out = (affinity > 0.3).astype(np.int64)
+        assert 0 < out.sum() < out.size
+    else:
+        out = affinity
+        assert out.flags.c_contiguous and out.dtype == np.float64
+    return out
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([SMALL_WORLD, ONE_PREFERRED_WORLD]),
        st.integers(0, 8),
@@ -263,13 +289,19 @@ slates = st.one_of(
        st.integers(0, 2**32 - 1),
        st.lists(st.tuples(st.integers(0, len(SMALL_WORLD.situations) - 1),
                           slates),
-                min_size=1, max_size=20))
-def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls):
+                min_size=1, max_size=20),
+       st.sampled_from(["c", "fortran", "strided", "big-endian", "int64"]))
+def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls,
+                                        layout):
     # slates and situation indices are drawn for SMALL_WORLD
     assert world.doc_ids == SMALL_DOCS
     assert len(world.situations) == len(SMALL_WORLD.situations)
-    world = dataclasses.replace(world, config=dataclasses.replace(
-        world.config, organic_browse=browse, organic_good_bias=bias))
+    # the closure reads affinities through memoryviews, which must give
+    # the oracle's click tests for any layout and dtype
+    world = dataclasses.replace(
+        world, affinity=_affinity_layout(world.affinity, layout),
+        config=dataclasses.replace(world.config, organic_browse=browse,
+                                   organic_good_bias=bias))
     rng_want = np.random.default_rng(seed)
     rng_got = np.random.default_rng(seed)
     want_source = oracle_feedback_source(world, rng_want)
@@ -286,20 +318,55 @@ def test_feedback_matches_scalar_oracle(world, browse, bias, seed, calls):
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
-def test_replay_basic_accounting(world):
-    log = TrialLog(RandomPolicy(world.doc_ids, slate_size=5))
-    report = replay_evaluate(log, world, iterations=200, report_period=50,
-                             seed=3)
-    assert [it for it, _, _ in report.series] == [50, 100, 150, 200]
-    assert report.total_displays == 200 * 5
-    assert report.final_avctr == report.series[-1][1]
-    assert sum(report.branch_counts.values()) == 200
-    assert len(log.trials) == 200
-    # recount from the trials recorded at the policy boundary matches
-    # exactly
-    clicks = sum(sum(t.clicks.values()) for t in log.trials)
-    displays = sum(len(t.shown) for t in log.trials)
-    assert clicks / displays == report.final_avctr
+def _recounted_rows(trials, report_period):
+    """The report rows (iteration, average CTR, branch counts) recounted
+    from the trials recorded at the policy boundary."""
+    rows = []
+    clicks = displays = 0
+    counts = {b.value: 0 for b in Branch}
+    for i, t in enumerate(trials, 1):
+        clicks += sum(t.clicks.values())
+        displays += len(t.shown)
+        counts[t.branch.value] += 1
+        if i % report_period == 0:
+            rows.append((i, clicks / displays, dict(counts)))
+    return rows
+
+
+def test_replay_basic_accounting(world, tmp_path):
+    # a random policy runs only cold starts; the engine on the same world
+    # runs both branches
+    for policy in (RandomPolicy(world.doc_ids, slate_size=5),
+                   build_policy("clustering-eps-greedy", world,
+                                BanditConfig(slate_size=5, seed=2))):
+        log = TrialLog(policy)
+        report = replay_evaluate(log, world, iterations=200,
+                                 report_period=50, seed=3)
+        assert [it for it, _, _ in report.series] == [50, 100, 150, 200]
+        assert report.total_displays == 200 * 5
+        assert report.final_avctr == report.series[-1][1]
+        assert len(log.trials) == 200
+        # every row, the branch counts and the TSV recount exactly from
+        # the trials recorded at the policy boundary
+        rows = _recounted_rows(log.trials, 50)
+        assert report.series == rows
+        assert report.branch_counts == rows[-1][2]
+        assert list(report.branch_counts) == [b.value for b in Branch]
+        if isinstance(policy, RandomPolicy):
+            assert report.branch_counts[Branch.EPS_GREEDY.value] == 0
+        else:
+            assert all(report.branch_counts.values())
+        clicks = sum(sum(t.clicks.values()) for t in log.trials)
+        assert clicks == report.total_clicks
+        out = tmp_path / "report.tsv"
+        report.to_tsv(out)
+        header = "\t".join(["iteration", "avg_ctr",
+                            *(b.value for b in Branch)])
+        assert out.read_text() == "".join(
+            [header + "\n"] + [
+                f"{it}\t{avctr:.6f}\t" + "\t".join(
+                    str(counts[b.value]) for b in Branch) + "\n"
+                for it, avctr, counts in rows])
 
 
 def test_replay_is_deterministic(world):
