@@ -12,7 +12,10 @@ engine.
 Slate selection reads the CTR ranking each preference map keeps current
 (`UserPreferences.ranking`), so a pick never re-scores or re-sorts the
 candidates: an exploit pick takes the ranking's first untaken position in
-O(1), and an explore pick walks only the explored positions past it.
+O(1), and an explore pick walks only the explored positions past it. Its
+random draws come from a `SlateDraws`, which each policy binds once to
+its generator and ε (see `slate_draws`) and binds again only when its
+config's ε changes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -56,6 +60,11 @@ class BanditConfig:
 class Branch(str, Enum):
     EPS_GREEDY = "eps-greedy"
     COLD_START = "cold-start"
+
+    # the replay counts trials by member; `Enum.__hash__` would hash the
+    # member's name in Python code, this hashes its value in C, as equal
+    # strings hash
+    __hash__ = str.__hash__
 
 
 @dataclass(slots=True)
@@ -106,11 +115,61 @@ def bounded_integer(r: int, next_uint32, state,
     return 0 if r == 1 else int(rng.integers(r))
 
 
-def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
-                   rng: np.random.Generator) -> List[str]:
+class SlateDraws(NamedTuple):
+    """The random source of `epsilon_greedy`, bound once by `slate_draws`.
+
+    Each pick reads one raw 64-bit word x of the bit generator through
+    `raw` and explores when q = (x >> 11) * 2**-53 <= epsilon, tested as
+    the one int compare x < `cut`; an explore pick then draws
+    k = `bounded_integer(m - picked, next_uint32, state, rng)`, the value
+    and words of `rng.integers(m - picked)`. For PCG64, q is exactly the
+    double `rng.random()` makes of the same word, and `random_raw`, like
+    `random`, leaves alone the buffered 32-bit half-word that
+    `next_uint32` reads. So the draws, every slate and the final RNG state
+    are those of one `rng.random()` per pick and one `rng.integers` per
+    explore pick.
+
+    The fields hold the generator's own bound methods and ctypes state, so
+    draws made through them advance `rng` itself: a policy keeps one
+    `SlateDraws` next to its `rng`. It fixes ε, so a policy whose config's
+    ε changes (as `tune-epsilon` swaps configs per episode) binds a new
+    one. As for `bounded_integer`, `rng` must not be shared across threads
+    while its draws are used.
+    """
+
+    epsilon: float
+    cut: int
+    raw: Callable[[], int]
+    next_uint32: Callable
+    state: object
+    rng: np.random.Generator
+
+
+def slate_draws(rng: np.random.Generator, epsilon: float) -> SlateDraws:
+    """The `SlateDraws` of `rng` at explore probability `epsilon`.
+
+    Other bit generators' raw words differ from PCG64's (MT19937's are 32
+    bits wide, so every pick would explore), so `rng` must be PCG64-backed,
+    as `np.random.default_rng` is; any other raises `TypeError`.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise TypeError(f"epsilon_greedy needs a PCG64 generator, got "
+                        f"{type(bit_generator).__name__}")
+    ctypes = bit_generator.ctypes
+    # q <= epsilon as one int compare: x >> 11 <= floor(epsilon * 2**53),
+    # exact since scaling by a power of two is
+    cut = (math.floor(epsilon * 2**53) + 1) << 11
+    return SlateDraws(epsilon, cut, bit_generator.random_raw,
+                      ctypes.next_uint32, ctypes.state, rng)
+
+
+def epsilon_greedy(candidates: UserPreferences, n: int,
+                   draws: SlateDraws) -> List[str]:
     """Slate of up to n distinct documents: each pick exploits the argmax-CTR
     document (lowest doc id among ties) with probability 1 - epsilon,
     otherwise explores uniformly among the documents not yet selected.
+    `draws` gives epsilon and the random source (see `SlateDraws`).
 
     Both kinds of pick read a position in the map's maintained ranking:
     exploit takes the first untaken position, explore the k-th untaken one
@@ -119,37 +178,15 @@ def epsilon_greedy(candidates: UserPreferences, n: int, epsilon: float,
     O(1) and an explore pick O(len(above)); a position drained from `above`
     once `first` reaches it was paid for by the explore pick that put it
     there. No pick costs O(m) for m candidates.
-
-    Draws: each pick reads one raw 64-bit word x of the bit generator and
-    explores when q = (x >> 11) * 2**-53 <= epsilon; an explore pick then
-    draws k = `bounded_integer(m - picked, ...)` over the generator's own
-    `next_uint32`, the value and words of `rng.integers(m - picked)`. For
-    PCG64, q is exactly the double `rng.random()` makes of the same word,
-    and `random_raw`, like `random`, leaves alone the buffered 32-bit
-    half-word that `next_uint32` reads. So the draws, every slate and the
-    final RNG state are those of one `rng.random()` per pick and one
-    `rng.integers` per explore pick. Other bit generators' raw words differ
-    (MT19937's are 32 bits wide), so `rng` must be PCG64-backed, as
-    `np.random.default_rng` is, and, as for `bounded_integer`, not shared
-    across threads.
     """
     if not candidates.docs:
         raise EmptyCandidates("epsilon_greedy needs a non-empty candidate set")
-    bit_generator = rng.bit_generator
-    if not isinstance(bit_generator, np.random.PCG64):
-        raise TypeError(f"epsilon_greedy needs a PCG64 generator, got "
-                        f"{type(bit_generator).__name__}")
-    raw = bit_generator.random_raw
-    ctypes = bit_generator.ctypes
-    next_uint32, state = ctypes.next_uint32, ctypes.state
+    _, cut, raw, next_uint32, state, rng = draws
     ranking = candidates.ranking()
     m = len(ranking)
     slate: List[str] = []
     first = 0  # every position below it is taken
     above: List[int] = []  # explored positions above `first`, ascending
-    # q <= epsilon as one int compare: x >> 11 <= floor(epsilon * 2**53),
-    # exact since scaling by a power of two is
-    cut = (math.floor(epsilon * 2**53) + 1) << 11
     for picked in range(min(n, m)):
         if raw() < cut:  # explore
             # the k-th untaken position: shift past every taken one <= it
@@ -182,6 +219,7 @@ class RecommendationEngine:
         self.casebase = CaseBase(index)
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
+        self.draws = slate_draws(self.rng, self.config.epsilon)
 
     def recommend(self, situation: Situation) -> Recommendation:
         cfg = self.config
@@ -192,8 +230,10 @@ class RecommendationEngine:
             return Recommendation(
                 random_slate(self.doc_pool, cfg.slate_size, self.rng),
                 Branch.COLD_START, retrieval)
-        slate = epsilon_greedy(retrieval.case.prefs, cfg.slate_size,
-                               cfg.epsilon, self.rng)
+        draws = self.draws
+        if draws.epsilon != cfg.epsilon:  # the config was swapped
+            draws = self.draws = slate_draws(self.rng, cfg.epsilon)
+        slate = epsilon_greedy(retrieval.case.prefs, cfg.slate_size, draws)
         return Recommendation(slate, Branch.EPS_GREEDY, retrieval)
 
     def observe(self, situation: Situation, rec: Recommendation,
@@ -213,14 +253,18 @@ class GlobalEpsilonGreedy:
         self.doc_pool = sorted(doc_pool)
         self.prefs = UserPreferences()
         self.rng = np.random.default_rng(self.config.seed)
+        self.draws = slate_draws(self.rng, self.config.epsilon)
 
     def recommend(self, situation: Situation) -> Recommendation:
+        cfg = self.config
         if not self.prefs.docs:
             return Recommendation(
-                random_slate(self.doc_pool, self.config.slate_size, self.rng),
+                random_slate(self.doc_pool, cfg.slate_size, self.rng),
                 Branch.COLD_START, None)
-        slate = epsilon_greedy(self.prefs, self.config.slate_size,
-                               self.config.epsilon, self.rng)
+        draws = self.draws
+        if draws.epsilon != cfg.epsilon:  # the config was swapped
+            draws = self.draws = slate_draws(self.rng, cfg.epsilon)
+        slate = epsilon_greedy(self.prefs, cfg.slate_size, draws)
         return Recommendation(slate, Branch.EPS_GREEDY, None)
 
     def observe(self, situation: Situation, rec: Recommendation,

@@ -11,20 +11,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import ConfigError, ParseError
 from .ontology import DIMENSIONS, Taxonomy
 
 
-@dataclass(frozen=True)
-class Situation:
+class Situation(NamedTuple):
+    """A (location, time, social) triple of concept ids.
+
+    A named tuple, so that hashing and comparing one, as every lookup by
+    situation does, runs in C. It therefore equals, and hashes as, the
+    plain tuple of its concepts: `Situation("a", "b", "c") == ("a", "b",
+    "c")`.
+    """
+
     location: str
     time: str
     social: str
 
     def as_tuple(self) -> Tuple[str, str, str]:
-        return (self.location, self.time, self.social)
+        return tuple(self)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from scipy import stats as scipy_stats
 
 from situbandit.bandit import (BanditConfig, EpsilonTunerState,
-                               epsilon_greedy, tune_epsilon)
+                               epsilon_greedy, slate_draws, tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.cli import main as cli_main
 from situbandit.clustering import ClusteringConfig, kmedoids
@@ -109,18 +109,21 @@ def test_criterion_2_policy_degeneracy():
         d: DocumentStats(clicks=int(rng.integers(0, 10)), impressions=10)
         for d in docs})
     # eps=0 equals the deterministic top-N oracle
-    greedy_ok = all(epsilon_greedy(cands, 3, 0.0, rng) ==
+    greedy = slate_draws(rng, 0.0)
+    greedy_ok = all(epsilon_greedy(cands, 3, greedy) ==
                     oracle_greedy_top_n(cands, 3) for _ in range(100))
     # eps=1 uniformity of the first pick over 10^4 seeded slates
     counts = {d: 0 for d in docs}
+    uniform = slate_draws(rng, 1.0)
     for _ in range(10**4):
-        counts[epsilon_greedy(cands, 3, 1.0, rng)[0]] += 1
+        counts[epsilon_greedy(cands, 3, uniform)[0]] += 1
     _, p = scipy_stats.chisquare(list(counts.values()))
     uniform_ok = p > 0.01
     # slate uniqueness on 10^4 random trials
     unique_ok = True
     for _ in range(10**4):
-        slate = epsilon_greedy(cands, 5, float(rng.random()), rng)
+        slate = epsilon_greedy(cands, 5,
+                               slate_draws(rng, float(rng.random())))
         unique_ok &= len(set(slate)) == len(slate) == 5
     elapsed = time.perf_counter() - t0
     ok = greedy_ok and uniform_ok and unique_ok and elapsed < 30.0

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from unittest import mock
 
@@ -8,8 +9,8 @@ from hypothesis import given, strategies as st
 from situbandit import bandit
 from situbandit.bandit import (BanditConfig, Branch, EpsilonTunerState,
                                GlobalEpsilonGreedy, RecommendationEngine,
-                               bounded_integer, epsilon_greedy, step,
-                               tune_epsilon)
+                               bounded_integer, epsilon_greedy,
+                               slate_draws, step, tune_epsilon)
 from situbandit.casebase import DocumentStats, UserPreferences
 from situbandit.errors import ConfigError, EmptyCandidates
 from situbandit.situation import Situation
@@ -68,39 +69,43 @@ def test_get_ctr():
 
 def test_greedy_top_n_order_and_ties(candidates):
     rng = np.random.default_rng(0)
-    assert epsilon_greedy(candidates, 3, 0.0, rng) == ["d2", "d5", "d1"]
-    assert (epsilon_greedy(candidates, 10, 0.0, rng)
+    draws = slate_draws(rng, 0.0)
+    assert epsilon_greedy(candidates, 3, draws) == ["d2", "d5", "d1"]
+    assert (epsilon_greedy(candidates, 10, draws)
             == ["d2", "d5", "d1", "d3", "d4"])
 
 
 def test_epsilon_greedy_empty_candidates():
     with pytest.raises(EmptyCandidates):
-        epsilon_greedy(UserPreferences(), 3, 0.1,
-                       np.random.default_rng(0))
+        epsilon_greedy(UserPreferences(), 3,
+                       slate_draws(np.random.default_rng(0), 0.1))
 
 
 def test_epsilon_zero_is_greedy(candidates):
     rng = np.random.default_rng(0)
+    draws = slate_draws(rng, 0.0)
     for _ in range(20):
-        assert epsilon_greedy(candidates, 3, 0.0, rng) == ["d2", "d5", "d1"]
+        assert epsilon_greedy(candidates, 3, draws) == ["d2", "d5", "d1"]
 
 
 def test_slate_is_distinct_and_capped(candidates):
     rng = np.random.default_rng(1)
     for eps in (0.0, 0.5, 1.0):
+        draws = slate_draws(rng, eps)
         for _ in range(50):
-            slate = epsilon_greedy(candidates, 3, eps, rng)
+            slate = epsilon_greedy(candidates, 3, draws)
             assert len(slate) == 3
             assert len(set(slate)) == 3
-        assert len(epsilon_greedy(candidates, 99, eps, rng)) == 5
+        assert len(epsilon_greedy(candidates, 99, draws)) == 5
 
 
 def test_epsilon_one_is_uniform(candidates):
     rng = np.random.default_rng(2)
+    draws = slate_draws(rng, 1.0)
     counts = Counter()
     n = 10000
     for _ in range(n):
-        counts[epsilon_greedy(candidates, 1, 1.0, rng)[0]] += 1
+        counts[epsilon_greedy(candidates, 1, draws)[0]] += 1
     expect = n / 5
     for doc in candidates.docs:
         assert abs(counts[doc] - expect) < 5 * np.sqrt(expect)
@@ -142,9 +147,9 @@ def test_slates_match_rescoring_oracle(initial, ops, seed):
         n, epsilon = op
         if not mirror:
             with pytest.raises(EmptyCandidates):
-                epsilon_greedy(prefs, n, epsilon, rng)
+                epsilon_greedy(prefs, n, slate_draws(rng, epsilon))
         else:
-            assert (epsilon_greedy(prefs, n, epsilon, rng)
+            assert (epsilon_greedy(prefs, n, slate_draws(rng, epsilon))
                     == oracle_epsilon_greedy(mirror, n, epsilon, oracle_rng))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -162,7 +167,7 @@ def test_slates_match_oracle_after_half_used_word(counts, calls, seed):
         assert rng.integers(7) == oracle_rng.integers(7)
         if not mirror.docs:
             continue
-        assert (epsilon_greedy(prefs, n, epsilon, rng)
+        assert (epsilon_greedy(prefs, n, slate_draws(rng, epsilon))
                 == oracle_epsilon_greedy(mirror, n, epsilon, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -205,12 +210,11 @@ def test_bounded_integer_matches_numpy(bit_generator, seed, draws):
                 == plain_state(want.bit_generator.state))
 
 
-def test_epsilon_greedy_needs_pcg64(candidates):
+def test_epsilon_greedy_needs_pcg64():
     # MT19937's raw words are 32 bits wide: read as PCG64's, every pick
-    # would explore
+    # would explore; the draw source refuses it before any slate is made
     with pytest.raises(TypeError, match="PCG64"):
-        epsilon_greedy(candidates, 3, 0.1,
-                       np.random.Generator(np.random.MT19937(0)))
+        slate_draws(np.random.Generator(np.random.MT19937(0)), 0.1)
 
 
 def make_engine(tiny_index, **kw):
@@ -283,6 +287,38 @@ def test_engine_deterministic_given_seed(tiny_index):
         return slates
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("policy", ["engine", "global"])
+def test_swapped_config_draws_at_its_epsilon(tiny_index, base_situation,
+                                             policy):
+    # `tune-epsilon` replaces a policy's config between episodes; each
+    # slate after a swap is the oracle's at the new epsilon, drawn from
+    # the policy's generator
+    cfg = BanditConfig(epsilon=0.0, slate_size=4, seed=3)
+    docs = [f"d{i}" for i in range(20)]
+    pol = (RecommendationEngine(tiny_index, docs, cfg) if policy == "engine"
+           else GlobalEpsilonGreedy(docs, cfg))
+    oracle_rng = np.random.default_rng()
+    greedy_trials = 0
+    for epsilon in (0.0, 1.0, 0.5, 0.0, 1.0):
+        pol.config = dataclasses.replace(pol.config, epsilon=epsilon)
+        for _ in range(15):
+            oracle_rng.bit_generator.state = pol.rng.bit_generator.state
+            rec = pol.recommend(base_situation)
+            if rec.branch == Branch.EPS_GREEDY:
+                greedy_trials += 1
+                prefs = (rec.retrieval.case.prefs if policy == "engine"
+                         else pol.prefs)
+                assert rec.slate == oracle_epsilon_greedy(
+                    prefs, 4, epsilon, oracle_rng)
+                assert (pol.rng.bit_generator.state
+                        == oracle_rng.bit_generator.state)
+            # every slate doc shown, the first clicked: the map grows
+            # and its CTRs differ
+            pol.observe(base_situation, rec, UserPreferences(
+                {d: stats(int(d == rec.slate[0]), 1) for d in rec.slate}))
+    assert greedy_trials == 5 * 15 - 1
 
 
 def test_global_baseline_learns(tiny_taxonomies, base_situation):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from situbandit.bandit import BanditConfig, Branch
+from situbandit import bandit
+from situbandit.bandit import BanditConfig, Branch, epsilon_greedy
 from situbandit.errors import (ConfigError, LabelMismatch, ParseError,
                                UnknownDoc)
 from situbandit.ontology import Dimension
@@ -346,6 +347,9 @@ def test_replay_basic_accounting(world, tmp_path):
         assert report.total_displays == 200 * 5
         assert report.final_avctr == report.series[-1][1]
         assert len(log.trials) == 200
+        # the drawn order hands over the world's own situations, not
+        # their concepts unpacked (a `Situation` is a tuple)
+        assert all(type(t.situation) is Situation for t in log.trials)
         # every row, the branch counts and the TSV recount exactly from
         # the trials recorded at the policy boundary
         rows = _recounted_rows(log.trials, 50)
@@ -380,6 +384,25 @@ def test_replay_is_deterministic(world):
     (a, a_trials), (b, b_trials) = run(), run()
     assert a.total_clicks == b.total_clicks
     assert [t.shown for t in a_trials] == [t.shown for t in b_trials]
+
+
+@pytest.mark.parametrize("policy", ["eps-greedy", "clustering-eps-greedy"])
+def test_replay_binds_slate_draws_once(world, policy):
+    # while epsilon is unchanged, every slate draws from the one source the
+    # policy bound next to its generator
+    pol = build_policy(policy, world, BanditConfig(slate_size=5, seed=2))
+    seen = []
+
+    def spy(candidates, n, draws):
+        seen.append(draws)
+        return epsilon_greedy(candidates, n, draws)
+
+    with mock.patch.object(bandit, "epsilon_greedy", spy):
+        report = replay_evaluate(pol, world, iterations=200,
+                                 report_period=50, seed=3)
+    assert len(seen) == report.branch_counts[Branch.EPS_GREEDY.value] > 0
+    assert all(d is pol.draws for d in seen)
+    assert pol.draws.rng is pol.rng
 
 
 # The replay streams these runs produce: SHA-256 of the (situation, slate,
