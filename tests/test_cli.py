@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import json
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -194,6 +196,124 @@ def test_cluster_eval_default_grid(runner, tmp_path):
     rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
     assert [(t, s) for t, s, _ in rows] == [
         (t, "0") for t in ("1", "5", "10", "20", "40", "60")]
+
+
+#: Criterion 10's config (tests/test_acceptance.py).
+DIGEST_CONFIG = {
+    "world": TINY_WORLD,
+    "sample_world": {"groups": 3, "situations_per_group": 8, "docs": 30,
+                     "preferred_docs_per_group": 3, "max_prototype_sim": 2.2},
+    "iterations": 200, "report_period": 100, "slate_size": 5, "nc": 3,
+    "h_epsilon": [0.0, 0.5], "rounds": 5, "episode_length": 5,
+}
+
+WORLD_ARGS = ["--config", "config.yaml", "--world", "data/world.json"]
+
+#: (name, arguments) of every pinned run, in order, in one directory and
+#: with relative paths only, so that no output holds a temporary path.
+DIGEST_RUNS = [
+    ("gen-data", ["gen-data", "--config", "config.yaml", "--seed", "1",
+                  "--out", "data"]),
+    *((f"simulate {p}", ["simulate", *WORLD_ARGS, "--policy", p,
+                         "--seed", "2", "--out", f"report-{p}.tsv"])
+      for p in POLICY_NAMES),
+    *((f"sweep epsilon {p}", ["sweep", *WORLD_ARGS, "--param", "epsilon",
+                              "--grid", "0,0.5,1", "--seeds", "1,2",
+                              "--policy", p, "--out", f"sweep-{p}.tsv"])
+      for p in ("clustering-eps-greedy", "eps-greedy")),
+    ("sweep threshold_b", ["sweep", *WORLD_ARGS, "--param", "threshold_b",
+                           "--grid", "0,1.5,3", "--policy", "eps-greedy",
+                           "--out", "sweep-threshold_b.tsv"]),
+    ("tune-epsilon", ["tune-epsilon", *WORLD_ARGS, "--seed", "3",
+                      "--out", "tune.tsv"]),
+    ("tune-epsilon five", ["tune-epsilon", "--config", "tune-five.yaml",
+                           "--world", "data/world.json", "--seed", "3",
+                           "--out", "tune-five.tsv"]),
+    ("cluster-eval", ["cluster-eval", "--config", "config.yaml",
+                      "--grid", "1,5", "--seeds", "0",
+                      "--out", "clusters.tsv"]),
+]
+
+#: SHA-256 of every output file and of each run's stdout. They pin the
+#: installed numpy's streams, as `test_golden_stream`'s constants do. A
+#: change that moves an output on purpose copies the mapping the failing
+#: test prints and names each moved entry in CHANGES.md.
+CLI_DIGESTS = {
+    "cluster-eval stdout":
+        "494b8695ec3a4ad679d9fe9b7a402c7cbbf8e404fdacc82fbbef85a09e6bf829",
+    "clusters.tsv":
+        "51672963b6f2aceab612c872d465b977586e8abf0f2b0297caf24c226c757925",
+    "data/navigation.tsv":
+        "c958c7462d900068106d7ef6f0e8d5a0f442d2a9b06409e9d154122f24265017",
+    "data/situations.tsv":
+        "d4a44f27907ca07cef99e6d9d9a277f8f5509503a8a1a7d635457b42cbe7e52c",
+    "data/world.json":
+        "c6f410eb9ef1cba885fb0f810d5b40f4b0d153b8d2e7a829c0c8f70d0c71c61e",
+    "gen-data stdout":
+        "8bc3e0b197e759e0024cb67e2656de6643c1c862ca3959be2924c7a7cd2ad5d5",
+    "report-clustering-eps-greedy.tsv":
+        "4652b4abeb33980b464112df73ac87b7444699ccbb216df0caf595b31cc09f72",
+    "report-eps-greedy.tsv":
+        "c50b7b11ff832978ae5d2087cc05137b60289007513943506708887b88a5f31f",
+    "report-oracle.tsv":
+        "aed3ddafceeb2f9752160933848987d5cd06247a411fa7c1c338b3480e9c712e",
+    "report-random.tsv":
+        "3ebe41328c386a1a636912e24db7a12c2016a35027426201391124ca4d2d7ed1",
+    "simulate clustering-eps-greedy stdout":
+        "5ab0d462b7d7399930185daff1259ea1d3b35adca7bd9f7deb3ac71d806cd978",
+    "simulate eps-greedy stdout":
+        "188e646c549ac084795168c0daeefb06578c432fe22b9ea0ab5a5dffd5c3e763",
+    "simulate oracle stdout":
+        "9c2ef6f81a0c8dc28cac2c8744607a063eb8a3a87369337fbd2d8abff7898ecb",
+    "simulate random stdout":
+        "227624c5115d856153be3474218049f769089254d5928adb29bfd7293c18503f",
+    "sweep epsilon clustering-eps-greedy stdout":
+        "85291dae74fe930e131b487099988c78912a7f5054b08548bc5facdb135312f5",
+    "sweep epsilon eps-greedy stdout":
+        "637226c156324b27adad95296477a3bac05fc22490f79e445a595c96cc891f9e",
+    "sweep threshold_b stdout":
+        "ad6bcca3daebd226c674237bd3fa70e4919cc432cbd2cb9181d2799ce22f0343",
+    "sweep-clustering-eps-greedy.tsv":
+        "9a13f8cc6f0835000fd3f564c9367fb5f2ae1e9b4d9473a45b5bffc8942ea0ad",
+    "sweep-eps-greedy.tsv":
+        "6fdd41ecb689d2005479417c8506bbef53382794df0ed988ae5893ac8ad34571",
+    "sweep-threshold_b.tsv":
+        "53c46d208e523ffa4ec56ed9aea5f343e5bab38c83b4dc7f79b61f5fe126df5b",
+    "tune-epsilon five stdout":
+        "a4b0dd8d6759e7d1134afabfbaf92de5854784a61468e73231b08a711074f038",
+    "tune-epsilon stdout":
+        "e68ac442f91e63d77b0de18c9b87a9993080cf001f284913be62f5530b827705",
+    "tune-five.tsv":
+        "34b4f57a6200926fc7cad4f9fe98c98a71b4ab75576ce77783e7ad6aa597bf82",
+    "tune.tsv":
+        "dd52626e0b3d4bd871b9dcfb8c3700858cfceb0b3a3c07317c2be8dbc63f8260",
+}
+
+
+def test_every_cli_output_is_pinned(tmp_path):
+    t0 = time.perf_counter()
+    runner = CliRunner()
+    digests = {}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        write_config("config.yaml", DIGEST_CONFIG)
+        write_config("tune-five.yaml", dict(
+            DIGEST_CONFIG, h_epsilon=[0.0, 0.1, 0.3, 0.7, 1.0], rounds=150))
+        inputs = set(Path().iterdir())
+        for name, args in DIGEST_RUNS:
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, (name, res.output)
+            digests[f"{name} stdout"] = hashlib.sha256(
+                res.stdout_bytes).hexdigest()
+        for path in sorted(Path().rglob("*")):
+            if path.is_file() and path not in inputs:
+                digests[path.as_posix()] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+    elapsed = time.perf_counter() - t0
+    listing = "".join(f"    {k!r}:\n        {v!r},\n"
+                      for k, v in sorted(digests.items()))
+    assert digests == CLI_DIGESTS, (
+        f"CLI outputs moved ({elapsed:.1f}s); the mapping now reads\n"
+        f"CLI_DIGESTS = {{\n{listing}}}")
 
 
 def test_missing_world_file(runner, tmp_path):
