@@ -99,7 +99,9 @@ def _world_config(cfg: dict, key: str = "world", **extra) -> WorldConfig:
 def _numbers(kind: type, flag: Optional[str], cfg: dict, key: str,
              default: list) -> list:
     """The comma-separated `flag` values, else the config's `key` list, else
-    `default`: a non-empty list, each entry a `kind` (int or float)."""
+    `default`: a non-empty list, each entry a `kind` (int or float). The
+    outputs print floats with `:g`, so two that print alike are refused:
+    their rows or columns could not be told apart."""
     if flag:
         values = []
         for text in filter(str.strip, flag.split(",")):
@@ -111,7 +113,11 @@ def _numbers(kind: type, flag: Optional[str], cfg: dict, key: str,
         values = cfg.get(key, default)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{key} must be a non-empty list, got {values!r}")
-    return [kind(check_kind(f"{key} entry", v, kind)) for v in values]
+    values = [kind(check_kind(f"{key} entry", v, kind)) for v in values]
+    if kind is float and len({f"{v:g}" for v in values}) < len(values):
+        raise ConfigError(f"{key} entries must differ within 6 significant "
+                          f"digits, got {values!r}")
+    return values
 
 
 def _config_int(cfg: dict, key: str, default: int) -> int:

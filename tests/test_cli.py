@@ -411,6 +411,9 @@ def test_largest_seed_replays(runner, tmp_path):
     ("tune-epsilon", "h_epsilon", []),
     ("tune-epsilon", "rounds", -3),
     ("tune-epsilon", "episode_length", -1),
+    # two settings the outputs print alike
+    ("tune-epsilon", "h_epsilon", [0.1234567, 0.1234568]),
+    ("sweep", "grid", [0.1234567, 0.1234568]),
 ])
 def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
                                                        command, key, value):
@@ -424,7 +427,9 @@ def test_wrongly_typed_config_values_are_clean_errors(runner, tmp_path,
     if command != "cluster-eval":
         args += ["--world", str(world_path)]
     if command == "sweep":
-        args += ["--param", "epsilon", "--grid", "0.1"]
+        args += ["--param", "epsilon"]
+        if key != "grid":
+            args += ["--grid", "0.1"]
     res = runner.invoke(main, args)
     assert res.exit_code == 1, res.output
     assert "Error:" in res.output
