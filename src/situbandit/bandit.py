@@ -5,9 +5,9 @@ case, pick a slate (epsilon-greedy over the case, or a uniform-random
 slate below the similarity threshold), absorb the click feedback and
 refresh the dimension weights. The engine does not cluster situations;
 k-medoid clustering is the separate precision experiment of `situbandit
-cluster-eval`. A context-free variant keeps one global preference pool
-and ignores situations entirely; it is the comparison baseline for the
-engine.
+cluster-eval`. The context-free comparison baseline, `GlobalEpsilonGreedy`,
+is the same engine reading every situation as the taxonomies' root
+triple: one case pools all feedback.
 
 Slate selection reads the CTR ranking each preference map keeps current
 (`UserPreferences.ranking`), so a pick never re-scores or re-sorts the
@@ -220,10 +220,12 @@ class RecommendationEngine:
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
         self.draws = slate_draws(self.rng, self.config.epsilon)
+        # the situation every trial is read as; None reads each its own
+        self.anchor: Optional[Situation] = None
 
     def recommend(self, situation: Situation) -> Recommendation:
         cfg = self.config
-        retrieval = self.casebase.retrieve(situation)
+        retrieval = self.casebase.retrieve(self.anchor or situation)
         if (retrieval is None
                 or retrieval.unweighted_sim < cfg.threshold_b
                 or not retrieval.case.prefs.docs):
@@ -239,37 +241,25 @@ class RecommendationEngine:
     def observe(self, situation: Situation, rec: Recommendation,
                 feedback: UserPreferences) -> None:
         cb = self.casebase
-        cb.update_preferences(situation, feedback)
+        cb.update_preferences(self.anchor or situation, feedback)
         if rec.retrieval is not None:
             cb.weights.record(rec.retrieval.per_dim_sims)
 
 
-class GlobalEpsilonGreedy:
-    """Context-free baseline: one global preference pool, no situations."""
+class GlobalEpsilonGreedy(RecommendationEngine):
+    """Context-free baseline: the engine reading every situation as the
+    taxonomies' root triple, so one case pools all feedback and each trial
+    after the first retrieves it as an exact hit."""
 
-    def __init__(self, doc_pool: Sequence[str],
+    # perfbench patches each class's own methods by name; inherited, the
+    # engine's would be wrapped twice and stay patched after the trace
+    recommend = RecommendationEngine.recommend
+    observe = RecommendationEngine.observe
+
+    def __init__(self, index: SituationIndex, doc_pool: Sequence[str],
                  config: Optional[BanditConfig] = None):
-        self.config = config if config is not None else BanditConfig()
-        self.doc_pool = sorted(doc_pool)
-        self.prefs = UserPreferences()
-        self.rng = np.random.default_rng(self.config.seed)
-        self.draws = slate_draws(self.rng, self.config.epsilon)
-
-    def recommend(self, situation: Situation) -> Recommendation:
-        cfg = self.config
-        if not self.prefs.docs:
-            return Recommendation(
-                random_slate(self.doc_pool, cfg.slate_size, self.rng),
-                Branch.COLD_START, None)
-        draws = self.draws
-        if draws.epsilon != cfg.epsilon:  # the config was swapped
-            draws = self.draws = slate_draws(self.rng, cfg.epsilon)
-        slate = epsilon_greedy(self.prefs, cfg.slate_size, draws)
-        return Recommendation(slate, Branch.EPS_GREEDY, None)
-
-    def observe(self, situation: Situation, rec: Recommendation,
-                feedback: UserPreferences) -> None:
-        self.prefs.merge(feedback)
+        super().__init__(index, doc_pool, config)
+        self.anchor = Situation(*(t.root for t in index.taxonomies.as_tuple()))
 
 
 def step(policy, situation: Situation,

@@ -542,7 +542,8 @@ def build_policy(name: str, world: SyntheticWorld, bandit_cfg=None,
 
     clustering-eps-greedy: the situation-aware engine, which does not
     cluster; the name stays because the benchmark workloads use it.
-    eps-greedy: the context-free global bandit. random / oracle: floor and
+    eps-greedy: the context-free baseline, the same engine reading every
+    situation as the taxonomies' root triple. random / oracle: floor and
     ceiling baselines.
     """
     cfg = bandit_cfg if bandit_cfg is not None else BanditConfig()
@@ -551,7 +552,7 @@ def build_policy(name: str, world: SyntheticWorld, bandit_cfg=None,
     if name == "clustering-eps-greedy":
         return RecommendationEngine(world.index, world.doc_ids, cfg)
     if name == "eps-greedy":
-        return GlobalEpsilonGreedy(world.doc_ids, cfg)
+        return GlobalEpsilonGreedy(world.index, world.doc_ids, cfg)
     if name == "random":
         return RandomPolicy(world.doc_ids, cfg.slate_size, cfg.seed)
     if name == "oracle":

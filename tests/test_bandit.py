@@ -297,8 +297,8 @@ def test_swapped_config_draws_at_its_epsilon(tiny_index, base_situation,
     # the policy's generator
     cfg = BanditConfig(epsilon=0.0, slate_size=4, seed=3)
     docs = [f"d{i}" for i in range(20)]
-    pol = (RecommendationEngine(tiny_index, docs, cfg) if policy == "engine"
-           else GlobalEpsilonGreedy(docs, cfg))
+    pol = (RecommendationEngine if policy == "engine"
+           else GlobalEpsilonGreedy)(tiny_index, docs, cfg)
     oracle_rng = np.random.default_rng()
     greedy_trials = 0
     for epsilon in (0.0, 1.0, 0.5, 0.0, 1.0):
@@ -308,10 +308,8 @@ def test_swapped_config_draws_at_its_epsilon(tiny_index, base_situation,
             rec = pol.recommend(base_situation)
             if rec.branch == Branch.EPS_GREEDY:
                 greedy_trials += 1
-                prefs = (rec.retrieval.case.prefs if policy == "engine"
-                         else pol.prefs)
                 assert rec.slate == oracle_epsilon_greedy(
-                    prefs, 4, epsilon, oracle_rng)
+                    rec.retrieval.case.prefs, 4, epsilon, oracle_rng)
                 assert (pol.rng.bit_generator.state
                         == oracle_rng.bit_generator.state)
             # every slate doc shown, the first clicked: the map grows
@@ -321,8 +319,8 @@ def test_swapped_config_draws_at_its_epsilon(tiny_index, base_situation,
     assert greedy_trials == 5 * 15 - 1
 
 
-def test_global_baseline_learns(tiny_taxonomies, base_situation):
-    pol = GlobalEpsilonGreedy(["d1", "d2", "d3"],
+def test_global_baseline_learns(tiny_index, base_situation):
+    pol = GlobalEpsilonGreedy(tiny_index, ["d1", "d2", "d3"],
                               BanditConfig(epsilon=0.0, slate_size=1, seed=0))
     rec = pol.recommend(base_situation)
     assert rec.branch == Branch.COLD_START
@@ -331,6 +329,14 @@ def test_global_baseline_learns(tiny_taxonomies, base_situation):
     rec = pol.recommend(base_situation)
     assert rec.branch == Branch.EPS_GREEDY
     assert rec.slate == ["d3"]
+    # another situation is served from the same pooled case, stored under
+    # the taxonomies' root triple
+    rec2 = pol.recommend(Situation("Lb2", "Tb2", "Sb2"))
+    assert rec2.slate == ["d3"]
+    assert rec2.retrieval.case is rec.retrieval.case
+    assert len(pol.casebase) == 1
+    assert pol.casebase.cases[0].situation == Situation("Lroot", "Troot",
+                                                        "Sroot")
 
 
 def test_tuner_state_validation():

@@ -17,7 +17,8 @@ CALLS = {
     "growing": {"bandit.epsilon_greedy": 1887, "simdata.feedback": 2000,
                 "casebase.retrieve": 2000},
     "context-free": {"bandit.epsilon_greedy": 9999,
-                     "simdata.feedback": 10000},
+                     "simdata.feedback": 10000,
+                     "casebase.retrieve": 10000},
 }
 
 
