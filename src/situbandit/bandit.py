@@ -220,7 +220,7 @@ class RecommendationEngine:
         self.doc_pool = sorted(doc_pool)
         self.rng = np.random.default_rng(self.config.seed)
         self.draws = slate_draws(self.rng, self.config.epsilon)
-        # the situation every trial is read as; None reads each its own
+        # when set, every trial is read as this situation
         self.anchor: Optional[Situation] = None
 
     def recommend(self, situation: Situation) -> Recommendation:
